@@ -971,7 +971,7 @@ let check_cmd =
 
 let default_workers () = max 1 (Domain.recommended_domain_count () - 1)
 
-(* Structured-logging flags shared by serve and bench-serve. *)
+(* Structured-logging flags of serve. *)
 
 let log_level_arg =
   Arg.(
@@ -1069,26 +1069,6 @@ let serve_cmd =
             "Requests served per connection before it is closed \
              (Connection: close on the last response).")
   in
-  let admission_arg =
-    let mode_conv =
-      Arg.conv
-        ( (fun s ->
-            match Soctest_serve.Dispatch.mode_of_string s with
-            | Some m -> Ok m
-            | None -> Error (`Msg (Printf.sprintf "unknown admission %S" s))),
-          fun fmt m ->
-            Format.pp_print_string fmt
-              (Soctest_serve.Dispatch.mode_name m) )
-    in
-    Arg.(
-      value
-      & opt mode_conv Soctest_serve.Dispatch.Edf
-      & info [ "admission" ] ~docv:"MODE"
-          ~doc:
-            "Admission-queue order: $(b,edf) (earliest deadline first — \
-             budgeted requests overtake unbudgeted ones) or $(b,fifo) \
-             (strict arrival order).")
-  in
   let max_jobs =
     Arg.(
       value & opt int 256
@@ -1102,15 +1082,15 @@ let serve_cmd =
           ~doc:"Retention of a finished async job's result before eviction.")
   in
   let run port workers queue_depth max_body idle_timeout_ms max_connections
-      max_conn_requests admission max_jobs job_ttl_ms store log_level
-      log_file slow_ms =
+      max_conn_requests max_jobs job_ttl_ms store log_level log_file slow_ms
+      =
     wrap (fun () ->
         let workers = if workers <= 0 then default_workers () else workers in
         setup_logging ~level:log_level ~file:log_file;
         (* Server.create enables metrics-only Obs recording itself *)
         let cfg =
           Server.config ~port ~workers ~queue_depth ~max_body
-            ~idle_timeout_ms ~max_connections ~max_conn_requests ~admission
+            ~idle_timeout_ms ~max_connections ~max_conn_requests
             ~job_capacity:max_jobs ~job_ttl_ms ?slow_ms ()
         in
         let engine = Engine.create ?store:(open_store store) () in
@@ -1122,13 +1102,12 @@ let serve_cmd =
         Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
         Printf.printf
           "soctest serve: listening on 127.0.0.1:%d (%d workers, queue \
-           depth %d, %s admission)\n\
+           depth %d)\n\
            endpoints: POST /v1/solve[?mode=async], GET|DELETE \
-           /v1/jobs/<id>, POST /v1/check, GET /v1/metrics, GET /metrics, \
-           GET /v1/debug/requests, GET /healthz\n\
+           /v1/jobs/<id>, POST /v1/check, GET /metrics, GET \
+           /v1/debug/requests, GET /healthz\n\
            %!"
-          (Server.port server) workers queue_depth
-          (Soctest_serve.Dispatch.mode_name admission);
+          (Server.port server) workers queue_depth;
         (match Engine.store engine with
         | None -> ()
         | Some s ->
@@ -1154,779 +1133,8 @@ let serve_cmd =
       ret
         (const run $ port $ workers $ queue_depth $ max_body
        $ idle_timeout_ms $ max_connections $ max_conn_requests
-       $ admission_arg $ max_jobs $ job_ttl_ms $ store_arg $ log_level_arg
-       $ log_file_arg $ slow_ms_arg))
-
-(* ------------------------------------------------------------------ *)
-(* bench-serve: per-tier cache accounting and the multi-process farm  *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-tier cache counters scraped from one daemon's /v1/metrics. *)
-type tier_counts = {
-  mem_hits : int;
-  mem_misses : int;
-  disk_hits : int;
-  disk_misses : int;
-  disk_rejects : int;
-}
-
-let zero_tiers =
-  { mem_hits = 0; mem_misses = 0; disk_hits = 0; disk_misses = 0;
-    disk_rejects = 0 }
-
-let add_tiers a b =
-  {
-    mem_hits = a.mem_hits + b.mem_hits;
-    mem_misses = a.mem_misses + b.mem_misses;
-    disk_hits = a.disk_hits + b.disk_hits;
-    disk_misses = a.disk_misses + b.disk_misses;
-    disk_rejects = a.disk_rejects + b.disk_rejects;
-  }
-
-let sub_tiers a b =
-  {
-    mem_hits = a.mem_hits - b.mem_hits;
-    mem_misses = a.mem_misses - b.mem_misses;
-    disk_hits = a.disk_hits - b.disk_hits;
-    disk_misses = a.disk_misses - b.disk_misses;
-    disk_rejects = a.disk_rejects - b.disk_rejects;
-  }
-
-let scrape_tiers ~port =
-  let m = Serve_client.json_body (Serve_client.get ~port "/v1/metrics") in
-  let get path =
-    match Option.bind (Json.member_path path m) Json.to_int with
-    | Some i -> i
-    | None ->
-      failwith
-        (Printf.sprintf "bench-serve: /v1/metrics missing %s"
-           (String.concat "." path))
-  in
-  {
-    mem_hits = get [ "engine"; "eval"; "hits" ];
-    mem_misses = get [ "engine"; "eval"; "misses" ];
-    disk_hits = get [ "engine"; "store"; "hits" ];
-    disk_misses = get [ "engine"; "store"; "misses" ];
-    disk_rejects = get [ "engine"; "store"; "audit_rejects" ];
-  }
-
-let sum_tiers ports =
-  Array.fold_left (fun acc p -> add_tiers acc (scrape_tiers ~port:p))
-    zero_tiers ports
-
-let ratio hits misses =
-  if hits + misses = 0 then 0.
-  else float_of_int hits /. float_of_int (hits + misses)
-
-(* Fraction of evaluations answered by either cache tier. A memory miss
-   that the store answers is not a fresh solve; only
-   [mem_misses - disk_hits] evaluations hit the optimizer. *)
-let combined_ratio t =
-  let total = t.mem_hits + t.mem_misses in
-  if total = 0 then 0.
-  else float_of_int (total - (t.mem_misses - t.disk_hits)) /. float_of_int total
-
-let bench_percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(min (n - 1) (int_of_float (q *. float_of_int (n - 1))))
-
-(* ------------------------------------------------------------------ *)
-(* Server-side latency out of the Prometheus exposition: the
-   per-endpoint request_ms histogram gives percentiles as the server
-   measured them (admission to response written), independent of
-   client-side queueing in the load generator. *)
-
-let substring_index s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  go 0
-
-(* Cumulative (le, count) buckets of the /v1/solve request_ms series,
-   sorted by edge, +Inf last. *)
-let scrape_prom_buckets ~port =
-  let body = (Serve_client.get ~port "/metrics").Serve_client.body in
-  String.split_on_char '\n' body
-  |> List.filter_map (fun line ->
-         if
-           substring_index line "soctest_serve_request_ms_bucket{"
-           <> Some 0
-           || substring_index line "endpoint=\"/v1/solve\"" = None
-         then None
-         else
-           match substring_index line "le=\"" with
-           | None -> None
-           | Some i -> (
-             let rest =
-               String.sub line (i + 4) (String.length line - i - 4)
-             in
-             match (String.index_opt rest '"', String.index_opt rest '}') with
-             | Some q, Some b when q < b ->
-               let le_s = String.sub rest 0 q in
-               let le =
-                 if le_s = "+Inf" then infinity
-                 else float_of_string le_s
-               in
-               let count =
-                 String.trim
-                   (String.sub rest (b + 1) (String.length rest - b - 1))
-               in
-               Option.map (fun c -> (le, c)) (int_of_string_opt count)
-             | _ -> None))
-  |> List.sort compare
-
-let sum_prom_buckets ports =
-  Array.fold_left
-    (fun acc p ->
-      List.fold_left
-        (fun acc (le, c) ->
-          match List.assoc_opt le acc with
-          | Some _ ->
-            List.map
-              (fun (l, v) -> if l = le then (l, v + c) else (l, v))
-              acc
-          | None -> acc @ [ (le, c) ])
-        acc (scrape_prom_buckets ~port:p))
-    [] ports
-  |> List.sort compare
-
-let sub_prom_buckets after before =
-  List.map
-    (fun (le, c) ->
-      (le, c - Option.value (List.assoc_opt le before) ~default:0))
-    after
-
-let prom_total buckets =
-  match List.rev buckets with (_, t) :: _ -> t | [] -> 0
-
-(* The percentile estimate a Prometheus histogram supports, with linear
-   interpolation inside the target bucket (the same estimate
-   [histogram_quantile] makes): find the first bucket whose cumulative
-   count reaches the target rank, then place the quantile
-   proportionally between that bucket's lower and upper edge. Reporting
-   the bare upper edge — what this function did before — quantizes
-   every percentile to a bucket boundary, which is how BENCH_8 ended up
-   with p50 = p99 = 50.000. Observations past the last finite edge
-   clamp to it, as Prometheus does. *)
-let prom_percentile buckets q =
-  let total = prom_total buckets in
-  if total = 0 then 0.
-  else begin
-    let target = q *. float_of_int total in
-    let finite_max =
-      List.fold_left
-        (fun acc (le, _) -> if le < infinity then le else acc)
-        0. buckets
-    in
-    (* bucket counts are cumulative in the exposition; the in-bucket
-       mass is the cumulative step over the previous edge *)
-    let rec find lower prev_cum = function
-      | [] -> finite_max
-      | (le, cum) :: rest ->
-        if float_of_int cum >= target then
-          if le = infinity then finite_max
-          else
-            let in_bucket = cum - prev_cum in
-            if in_bucket <= 0 then le
-            else
-              lower
-              +. (le -. lower)
-                 *. ((target -. float_of_int prev_cum)
-                    /. float_of_int in_bucket)
-        else find le cum rest
-    in
-    find 0. 0 buckets
-  end
-
-type bench_phase = {
-  ph_label : string;
-  ph_ok : int;
-  ph_wall_ms : float;
-  ph_latencies : float array;  (* sorted ascending *)
-  ph_tiers : tier_counts;
-  ph_prom : (float * int) list;  (* server-side cumulative buckets *)
-  ph_budgeted : int;  (* requests issued with a deadline budget *)
-  ph_missed : int;  (* budgeted requests that blew their deadline *)
-  ph_budgeted_lat : float array;  (* budgeted-class latencies, sorted *)
-}
-
-type workload_result = {
-  wl_wall_ms : float;
-  wl_ok : int;
-  wl_latencies : float array;
-  wl_budgeted : int;
-  wl_missed : int;
-  wl_budgeted_lat : float array;
-}
-
-(* A budgeted request missed its deadline when the server answered but
-   the engine had to stop early: 200 with result.status = "deadline"
-   (degraded incumbent), or an outright non-200 (timeout/reject). *)
-let reply_missed_deadline (r : Serve_client.response) =
-  r.Serve_client.status <> 200
-  ||
-  match
-    Json.member_path [ "result"; "status" ] (Serve_client.json_body r)
-  with
-  | Some (Json.String "deadline") -> true
-  | _ -> false
-
-(* Issue [requests] solves across [ports], request i going to daemon
-   (i mod procs) with body ((i / procs) mod distinct) — every distinct
-   body visits every daemon, so a shared tier has real cross-process
-   hits to offer while private caches must each solve everything.
-
-   [clients] domains pull request indices off a shared counter. Under
-   [`Keep_alive] (the default) each client holds one persistent
-   connection per daemon and reuses it for every request it issues;
-   under [`Close] every request opens a fresh connection — the v1
-   behaviour, kept for the throughput comparison. *)
-let bench_workload ?(conn_mode = `Keep_alive) ~ports ~requests ~clients
-    ~bodies () =
-  let n = Array.length ports and d = Array.length bodies in
-  let next = Atomic.make 0 in
-  let started = Unix.gettimeofday () in
-  let worker () =
-    let conns = Hashtbl.create 4 in
-    let conn_of port =
-      match Hashtbl.find_opt conns port with
-      | Some c -> c
-      | None ->
-        let c = Serve_client.connect ~port () in
-        Hashtbl.add conns port c;
-        c
-    in
-    let rec go acc =
-      let i = Atomic.fetch_and_add next 1 in
-      if i >= requests then acc
-      else begin
-        let port = ports.(i mod n) in
-        let body, budgeted = bodies.(i / n mod d) in
-        let t0 = Unix.gettimeofday () in
-        let outcome =
-          match
-            match conn_mode with
-            | `Keep_alive ->
-              Serve_client.call (conn_of port) ~meth:"POST" ~body
-                "/v1/solve"
-            | `Close -> Serve_client.post ~port ~body "/v1/solve"
-          with
-          | r ->
-            Some (r.Serve_client.status, budgeted && reply_missed_deadline r)
-          | exception Serve_client.Error _ -> None
-        in
-        let lat = (Unix.gettimeofday () -. t0) *. 1000. in
-        let status, missed =
-          match outcome with
-          | Some (s, m) -> (s, m)
-          | None -> (0, budgeted)
-        in
-        go ((status, lat, budgeted, missed) :: acc)
-      end
-    in
-    let results = go [] in
-    Hashtbl.iter (fun _ c -> Serve_client.close c) conns;
-    results
-  in
-  let domains =
-    List.init (max 1 (min clients requests)) (fun _ -> Domain.spawn worker)
-  in
-  let results = List.concat_map Domain.join domains in
-  let wall_ms = (Unix.gettimeofday () -. started) *. 1000. in
-  let ok = List.filter (fun (status, _, _, _) -> status = 200) results in
-  let latencies =
-    Array.of_list (List.map (fun (_, l, _, _) -> l) ok)
-  in
-  Array.sort compare latencies;
-  let budgeted = List.filter (fun (_, _, b, _) -> b) results in
-  let budgeted_lat =
-    Array.of_list (List.map (fun (_, l, _, _) -> l) budgeted)
-  in
-  Array.sort compare budgeted_lat;
-  {
-    wl_wall_ms = wall_ms;
-    wl_ok = List.length ok;
-    wl_latencies = latencies;
-    wl_budgeted = List.length budgeted;
-    wl_missed =
-      List.length (List.filter (fun (_, _, _, m) -> m) results);
-    wl_budgeted_lat = budgeted_lat;
-  }
-
-let print_phase ~requests ph =
-  let t = ph.ph_tiers in
-  Printf.printf
-    "phase %-11s: %d/%d ok, wall %.0f ms, p50 %.1f ms, p99 %.1f ms\n"
-    ph.ph_label ph.ph_ok requests ph.ph_wall_ms
-    (bench_percentile ph.ph_latencies 0.50)
-    (bench_percentile ph.ph_latencies 0.99);
-  Printf.printf "  memory tier : %d hits / %d misses (%.0f%% hit)\n"
-    t.mem_hits t.mem_misses (100. *. ratio t.mem_hits t.mem_misses);
-  Printf.printf
-    "  store tier  : %d hits / %d misses, %d audit reject(s) (%.0f%% hit)\n"
-    t.disk_hits t.disk_misses t.disk_rejects
-    (100. *. ratio t.disk_hits t.disk_misses);
-  Printf.printf "  combined    : %.0f%% of evaluations served from cache\n%!"
-    (100. *. combined_ratio t);
-  if prom_total ph.ph_prom > 0 then
-    Printf.printf
-      "  server side : p50 ~ %.1f ms, p99 ~ %.1f ms over %d requests \
-       (/metrics histogram, interpolated)\n%!"
-      (prom_percentile ph.ph_prom 0.50)
-      (prom_percentile ph.ph_prom 0.99)
-      (prom_total ph.ph_prom);
-  if ph.ph_budgeted > 0 then
-    Printf.printf
-      "  deadlines   : %d/%d budgeted requests missed (%.0f%%), budgeted \
-       p99 %.1f ms\n%!"
-      ph.ph_missed ph.ph_budgeted
-      (100. *. float_of_int ph.ph_missed /. float_of_int ph.ph_budgeted)
-      (bench_percentile ph.ph_budgeted_lat 0.99)
-
-let json_of_phase ~requests ~clients ph =
-  let t = ph.ph_tiers in
-  Json.Obj
-    [
-      ("label", Json.String ph.ph_label);
-      ("requests", Json.Int requests);
-      ("ok", Json.Int ph.ph_ok);
-      ("clients", Json.Int clients);
-      ("wall_ms", Json.Float ph.ph_wall_ms);
-      ( "throughput_rps",
-        Json.Float (float_of_int requests /. (ph.ph_wall_ms /. 1000.)) );
-      ( "latency_ms",
-        Json.Obj
-          [
-            ("p50", Json.Float (bench_percentile ph.ph_latencies 0.50));
-            ("p90", Json.Float (bench_percentile ph.ph_latencies 0.90));
-            ("p99", Json.Float (bench_percentile ph.ph_latencies 0.99));
-            ("max", Json.Float (bench_percentile ph.ph_latencies 1.0));
-          ] );
-      ( "memory_tier",
-        Json.Obj
-          [
-            ("hits", Json.Int t.mem_hits);
-            ("misses", Json.Int t.mem_misses);
-            ("hit_ratio", Json.Float (ratio t.mem_hits t.mem_misses));
-          ] );
-      ( "store_tier",
-        Json.Obj
-          [
-            ("hits", Json.Int t.disk_hits);
-            ("misses", Json.Int t.disk_misses);
-            ("audit_rejects", Json.Int t.disk_rejects);
-            ("hit_ratio", Json.Float (ratio t.disk_hits t.disk_misses));
-          ] );
-      ("combined_hit_ratio", Json.Float (combined_ratio t));
-      ( "deadline",
-        Json.Obj
-          [
-            ("budgeted", Json.Int ph.ph_budgeted);
-            ("missed", Json.Int ph.ph_missed);
-            ( "miss_rate",
-              Json.Float
-                (if ph.ph_budgeted = 0 then 0.
-                 else
-                   float_of_int ph.ph_missed
-                   /. float_of_int ph.ph_budgeted) );
-            ( "budgeted_p99_ms",
-              Json.Float (bench_percentile ph.ph_budgeted_lat 0.99) );
-          ] );
-      ( "prom_latency_ms",
-        Json.Obj
-          [
-            ("p50", Json.Float (prom_percentile ph.ph_prom 0.50));
-            ("p99", Json.Float (prom_percentile ph.ph_prom 0.99));
-            ("count", Json.Int (prom_total ph.ph_prom));
-          ] );
-    ]
-
-(* Spawn `soctest serve --port 0` as a child process and parse the
-   bound port out of its banner. The child's stdout stays piped to us
-   for its whole life (it prints nothing per-request, so the pipe
-   cannot fill). *)
-let spawn_daemon ?store ?admission () =
-  let r, w = Unix.pipe ~cloexec:true () in
-  let argv =
-    [ Sys.executable_name; "serve"; "--port"; "0"; "--workers"; "2" ]
-    @ (match store with None -> [] | Some p -> [ "--store"; p ])
-    @ (match admission with
-      | None -> []
-      | Some m ->
-        [ "--admission"; Soctest_serve.Dispatch.mode_name m ])
-  in
-  let pid =
-    Unix.create_process Sys.executable_name (Array.of_list argv) Unix.stdin w
-      Unix.stderr
-  in
-  Unix.close w;
-  let ic = Unix.in_channel_of_descr r in
-  let rec await_port () =
-    let line =
-      try input_line ic
-      with End_of_file ->
-        failwith "bench-serve: daemon exited before announcing its port"
-    in
-    match
-      Scanf.sscanf_opt line "soctest serve: listening on 127.0.0.1:%d"
-        (fun p -> p)
-    with
-    | Some p -> p
-    | None -> await_port ()
-  in
-  let port = await_port () in
-  (pid, port, ic)
-
-let stop_daemon (pid, _port, ic) =
-  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
-  (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-  close_in_noerr ic
-
-(* Pull a few flight records back and report how much of each request's
-   end-to-end latency the per-phase decomposition accounts for — the
-   observability layer auditing itself. *)
-let print_flight_summary ~port =
-  let j =
-    Serve_client.json_body
-      (Serve_client.get ~port "/v1/debug/requests?limit=64")
-  in
-  match Json.member "requests" j with
-  | Some (Json.List records) when records <> [] ->
-    let coverage r =
-      match (Json.member "total_ms" r, Json.member "phases" r) with
-      | Some (Json.Float total), Some (Json.Obj phases) when total > 0. ->
-        let sum =
-          List.fold_left
-            (fun acc (_, v) ->
-              match v with Json.Float f -> acc +. f | _ -> acc)
-            0. phases
-        in
-        Some (sum /. total)
-      | _ -> None
-    in
-    let covers = List.filter_map coverage records in
-    if covers <> [] then begin
-      let n = float_of_int (List.length covers) in
-      Printf.printf
-        "flight recorder: %d record(s); phase timings cover %.0f%% of \
-         end-to-end latency on average (min %.0f%%)\n%!"
-        (List.length records)
-        (100. *. (List.fold_left ( +. ) 0. covers /. n))
-        (100. *. List.fold_left Float.min infinity covers)
-    end
-  | _ -> ()
-
-let bench_serve_cmd =
-  let port =
-    Arg.(
-      value & opt int 0
-      & info [ "port" ] ~docv:"PORT"
-          ~doc:
-            "Load an already-running server on $(docv); 0 (the default) \
-             spawns an in-process server on an ephemeral port. Not \
-             meaningful with $(b,--procs).")
-  in
-  let requests =
-    Arg.(
-      value & opt int 64
-      & info [ "requests" ] ~docv:"N" ~doc:"Total solve requests to issue.")
-  in
-  let clients =
-    Arg.(
-      value & opt int 8
-      & info [ "clients" ] ~docv:"N" ~doc:"Concurrent client domains.")
-  in
-  let budget =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "budget-ms" ] ~docv:"MS"
-          ~doc:"Attach a per-request deadline budget of $(docv).")
-  in
-  let distinct =
-    Arg.(
-      value & opt int 4
-      & info [ "distinct" ] ~docv:"D"
-          ~doc:
-            "Number of distinct solve bodies to cycle through (successive \
-             TAM widths); controls how much re-use the caches can see.")
-  in
-  let procs =
-    Arg.(
-      value & opt int 0
-      & info [ "procs" ] ~docv:"N"
-          ~doc:
-            "Solve-farm mode: spawn $(docv) independent daemon processes \
-             and run the workload three times — private in-memory caches, \
-             a shared persistent store starting cold, and the same store \
-             warm — reporting per-tier hit ratios for each phase.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"FILE"
-          ~doc:"Write the latency/throughput/cache report as JSON.")
-  in
-  let conn_mode_arg =
-    Arg.(
-      value
-      & opt (enum [ ("keep-alive", `Keep_alive); ("close", `Close) ])
-          `Keep_alive
-      & info [ "conn-mode" ] ~docv:"MODE"
-          ~doc:
-            "Client connection discipline: $(b,keep-alive) reuses one \
-             persistent connection per client per daemon; $(b,close) \
-             opens a fresh connection for every request (the v1 \
-             behaviour, kept for the throughput comparison).")
-  in
-  let bench_admission =
-    let mode_conv =
-      Arg.conv
-        ( (fun s ->
-            match Soctest_serve.Dispatch.mode_of_string s with
-            | Some m -> Ok m
-            | None -> Error (`Msg (Printf.sprintf "unknown admission %S" s))),
-          fun fmt m ->
-            Format.pp_print_string fmt
-              (Soctest_serve.Dispatch.mode_name m) )
-    in
-    Arg.(
-      value
-      & opt mode_conv Soctest_serve.Dispatch.Edf
-      & info [ "admission" ] ~docv:"MODE"
-          ~doc:
-            "Admission order of the spawned server(s): $(b,edf) or \
-             $(b,fifo). Ignored with $(b,--port) (the running server \
-             keeps its own setting).")
-  in
-  let mixed_budgets =
-    Arg.(
-      value & flag
-      & info [ "mixed-budgets" ]
-          ~doc:
-            "Alternate a deadline-budgeted request class (budget from \
-             $(b,--budget-ms), default 20 ms) with an unbudgeted heavy \
-             class (a 40 ms server-side stall per request), and report \
-             the budgeted class's deadline-miss rate and p99 — the \
-             workload that separates $(b,edf) from $(b,fifo) admission.")
-  in
-  let run soc_name width port requests clients budget distinct procs store
-      json conn_mode admission mixed_budgets log_level log_file slow_ms =
-    wrap (fun () ->
-        if requests < 1 then failwith "--requests must be >= 1";
-        if clients < 1 then failwith "--clients must be >= 1";
-        if distinct < 1 then failwith "--distinct must be >= 1";
-        if procs < 0 then failwith "--procs must be >= 0";
-        if procs > 0 && port <> 0 then
-          failwith "--procs spawns its own daemons; it conflicts with --port";
-        let soc = load_soc soc_name in
-        let soc_text = Soctest_soc.Soc_writer.to_string soc in
-        let body_for ?budget_ms ?stall_ms ?strategy w =
-          let fields =
-            [ ("soc_text", Json.String soc_text); ("width", Json.Int w) ]
-            @ (match budget_ms with
-              | None -> []
-              | Some ms -> [ ("budget_ms", Json.Float ms) ])
-            @ (match stall_ms with
-              | None -> []
-              | Some ms -> [ ("stall_ms", Json.Int ms) ])
-            @
-            match strategy with
-            | None -> []
-            | Some s -> [ ("strategy", Json.String s) ]
-          in
-          Json.to_string (Json.Obj fields)
-        in
-        (* successive widths keep the bodies distinct without changing
-           the SOC, so every body exercises the same solver code path *)
-        let bodies =
-          if mixed_budgets then begin
-            (* interleave the two classes so consecutive admissions
-               alternate: a short-budget request always has a heavy
-               stalled one just ahead of it in a FIFO queue *)
-            let short = Option.value budget ~default:20. in
-            (* the budgeted class sweeps the parameter grid so an
-               expired budget is observable as a degraded (deadline)
-               result rather than an uncuttable single evaluation *)
-            Array.init (2 * distinct) (fun k ->
-                let w = width + 4 * (k / 2) in
-                if k mod 2 = 0 then
-                  (body_for ~budget_ms:short ~strategy:"grid" w, true)
-                else (body_for ~stall_ms:40 w, false))
-          end
-          else
-            Array.init distinct (fun k ->
-                ( body_for ?budget_ms:budget (width + 4 * k),
-                  budget <> None ))
-        in
-        let emit_json phases =
-          match json with
-          | None -> ()
-          | Some path ->
-            write_string_to_file path
-              (Json.to_string
-                 (Json.Obj
-                    [
-                      ("soc", Json.String soc.Soc_def.name);
-                      ("width", Json.Int width);
-                      ("requests", Json.Int requests);
-                      ("clients", Json.Int clients);
-                      ("distinct", Json.Int distinct);
-                      ("procs", Json.Int procs);
-                      ( "conn_mode",
-                        Json.String
-                          (match conn_mode with
-                          | `Keep_alive -> "keep-alive"
-                          | `Close -> "close") );
-                      ( "admission",
-                        Json.String
-                          (Soctest_serve.Dispatch.mode_name admission) );
-                      ("mixed_budgets", Json.Bool mixed_budgets);
-                      ( "phases",
-                        Json.List
-                          (List.map (json_of_phase ~requests ~clients) phases)
-                      );
-                    ]));
-            Printf.printf "(json written to %s)\n" path
-        in
-        if procs = 0 then begin
-          (* single-server mode: one daemon (in-process unless --port),
-             per-tier accounting from /v1/metrics deltas *)
-          let spawned =
-            if port <> 0 then None
-            else begin
-              setup_logging ~level:log_level ~file:log_file;
-              (* Server.create enables metrics-only Obs itself *)
-              let engine = Engine.create ?store:(open_store store) () in
-              let server =
-                Server.create ~engine
-                  (Server.config ~port:0 ~workers:(default_workers ())
-                     ~queue_depth:(max 64 (2 * requests)) ~admission
-                     ?slow_ms ())
-              in
-              Some (server, Domain.spawn (fun () -> Server.run server))
-            end
-          in
-          let port =
-            match spawned with Some (s, _) -> Server.port s | None -> port
-          in
-          Printf.printf
-            "bench-serve: %d requests (%d distinct) over %d clients against \
-             %s W=%d on port %d\n%!"
-            requests distinct clients soc.Soc_def.name width port;
-          let before = scrape_tiers ~port in
-          let prom_before = scrape_prom_buckets ~port in
-          let wl =
-            bench_workload ~conn_mode ~ports:[| port |] ~requests ~clients
-              ~bodies ()
-          in
-          let after = scrape_tiers ~port in
-          let prom_after = scrape_prom_buckets ~port in
-          let ph =
-            {
-              ph_label = "single";
-              ph_ok = wl.wl_ok;
-              ph_wall_ms = wl.wl_wall_ms;
-              ph_latencies = wl.wl_latencies;
-              ph_tiers = sub_tiers after before;
-              ph_prom = sub_prom_buckets prom_after prom_before;
-              ph_budgeted = wl.wl_budgeted;
-              ph_missed = wl.wl_missed;
-              ph_budgeted_lat = wl.wl_budgeted_lat;
-            }
-          in
-          print_phase ~requests ph;
-          Printf.printf "throughput: %.1f req/s (wall %.0f ms)\n"
-            (float_of_int requests /. (wl.wl_wall_ms /. 1000.))
-            wl.wl_wall_ms;
-          print_flight_summary ~port;
-          emit_json [ ph ];
-          match spawned with
-          | None -> ()
-          | Some (server, d) ->
-            Server.stop server;
-            Domain.join d
-        end
-        else begin
-          (* solve-farm mode: N daemon processes, three phases *)
-          let tmp_store = store = None in
-          let store_path =
-            match store with
-            | Some p -> p
-            | None -> Filename.temp_file "soctest-bench" ".store"
-          in
-          (* stamp the magic once, before the daemons race to create it *)
-          Store.close (Store.open_ store_path);
-          let run_phase label store_opt =
-            let daemons =
-              List.init procs (fun _ ->
-                  spawn_daemon ?store:store_opt ~admission ())
-            in
-            Fun.protect
-              ~finally:(fun () -> List.iter stop_daemon daemons)
-              (fun () ->
-                let ports =
-                  Array.of_list (List.map (fun (_, p, _) -> p) daemons)
-                in
-                let before = sum_tiers ports in
-                let prom_before = sum_prom_buckets ports in
-                let wl =
-                  bench_workload ~conn_mode ~ports ~requests ~clients
-                    ~bodies ()
-                in
-                let after = sum_tiers ports in
-                let prom_after = sum_prom_buckets ports in
-                {
-                  ph_label = label;
-                  ph_ok = wl.wl_ok;
-                  ph_wall_ms = wl.wl_wall_ms;
-                  ph_latencies = wl.wl_latencies;
-                  ph_tiers = sub_tiers after before;
-                  ph_prom = sub_prom_buckets prom_after prom_before;
-                  ph_budgeted = wl.wl_budgeted;
-                  ph_missed = wl.wl_missed;
-                  ph_budgeted_lat = wl.wl_budgeted_lat;
-                })
-          in
-          Printf.printf
-            "bench-serve farm: %d daemons, %d requests (%d distinct) over \
-             %d clients against %s W=%d, store %s\n%!"
-            procs requests distinct clients soc.Soc_def.name width store_path;
-          let p_private = run_phase "private" None in
-          print_phase ~requests p_private;
-          let p_cold = run_phase "shared-cold" (Some store_path) in
-          print_phase ~requests p_cold;
-          let p_warm = run_phase "shared-warm" (Some store_path) in
-          print_phase ~requests p_warm;
-          Printf.printf
-            "shared store vs private caches: combined hit ratio %.0f%% \
-             (cold) / %.0f%% (warm) vs %.0f%% (private)\n"
-            (100. *. combined_ratio p_cold.ph_tiers)
-            (100. *. combined_ratio p_warm.ph_tiers)
-            (100. *. combined_ratio p_private.ph_tiers);
-          emit_json [ p_private; p_cold; p_warm ];
-          if tmp_store then Sys.remove store_path
-        end)
-  in
-  Cmd.v
-    (Cmd.info "bench-serve"
-       ~doc:
-         "Load-generate against the scheduling service and report latency \
-          percentiles, throughput and per-tier cache hit ratios (memory \
-          vs persistent store) from $(b,/v1/metrics) deltas. \
-          $(b,--procs N) runs a multi-process solve farm comparing \
-          private caches against a shared store, cold and warm.")
-    Term.(
-      ret
-        (const run $ soc_arg ~default:"d695" $ width_arg ~default:32 $ port
-       $ requests $ clients $ budget $ distinct $ procs $ store_arg $ json
-       $ conn_mode_arg $ bench_admission $ mixed_budgets $ log_level_arg
-       $ log_file_arg $ slow_ms_arg))
+       $ max_jobs $ job_ttl_ms $ store_arg $ log_level_arg $ log_file_arg
+       $ slow_ms_arg))
 
 (* ------------------------------------------------------------------ *)
 (* jobs: the async solve lifecycle from the command line              *)
@@ -2113,7 +1321,7 @@ let store_cmd =
     (Cmd.info "store"
        ~doc:
          "Inspect and maintain persistent result stores (see $(b,--store) \
-          on $(b,schedule), $(b,serve) and $(b,bench-serve)).")
+          on $(b,schedule) and $(b,serve)).")
     [ stats; verify; compact ]
 
 let debug_cmd =
@@ -2461,7 +1669,7 @@ let main_cmd =
       all_cmd; soc_info_cmd; schedule_cmd; export_cmd; extras_cmd; verilog_cmd;
       validate_cmd; check_cmd; stil_cmd; sweep_cmd; portfolio_cmd;
       synth_cmd; pack_bench_cmd;
-      serve_cmd; bench_serve_cmd; jobs_cmd; debug_cmd; store_cmd;
+      serve_cmd; jobs_cmd; debug_cmd; store_cmd;
     ]
 
 let () = exit (Cmd.eval main_cmd)

@@ -203,7 +203,8 @@ type store_stats = {
 val store_stats : t -> store_stats
 (** Per-engine disk-tier counters (zero when the engine has no store).
     Counted internally, visible whether or not {!Soctest_obs.Obs}
-    recording is on; the daemon exports them at [/v1/metrics]. *)
+    recording is on. The same events feed the [engine.store.*]
+    {!Soctest_obs.Obs} counters the daemon exports at [/metrics]. *)
 
 (** {1 Result payloads (the disk tier's serialized form)} *)
 

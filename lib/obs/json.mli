@@ -32,10 +32,9 @@ val member : string -> t -> t option
     a missing key or a non-object. *)
 
 val member_path : string list -> t -> t option
-(** [member_path ["engine"; "store"; "hits"] v] follows nested object
+(** [member_path ["result"; "testing_time"] v] follows nested object
     keys; [None] as soon as one is missing. [member_path [] v = Some v].
-    What metric-scraping clients ([soctest bench-serve]) use to pull
-    per-tier counters out of [/v1/metrics]. *)
+    What clients use to pull fields out of nested responses. *)
 
 val to_int : t -> int option
 (** [Some i] for [Int i], [None] for every other constructor. *)

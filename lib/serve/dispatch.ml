@@ -1,14 +1,12 @@
 (* Deadline-aware worker dispatch for the serving stack: a bounded team
    of worker domains draining a priority queue of erased tasks.
 
-   Under [Edf] (the default) the queue is ordered earliest-deadline-
-   first: a task admitted with a budget sorts by its absolute deadline,
-   a task without one sorts after every deadlined task, and equal keys
-   fall back to admission order — so a short-budget solve admitted
-   behind a long p3 sweep overtakes it at the queue instead of burning
-   its whole budget waiting. [Fifo] ignores deadlines entirely (the
-   pre-v2 behaviour, kept selectable so `bench-serve` can measure the
-   difference).
+   The queue is ordered earliest-deadline-first: a task admitted with a
+   budget sorts by its absolute deadline, a task without one sorts
+   after every deadlined task, and equal keys fall back to admission
+   order — so a short-budget solve admitted behind a long p3 sweep
+   overtakes it at the queue instead of burning its whole budget
+   waiting, and undeadlined tasks run in arrival order.
 
    The heap is a plain binary min-heap under the pool mutex; admission
    rates are HTTP-request-shaped (thousands per second at most), so a
@@ -16,18 +14,9 @@
 
 module Obs = Soctest_obs.Obs
 
-type mode = Fifo | Edf
-
-let mode_of_string = function
-  | "fifo" -> Some Fifo
-  | "edf" -> Some Edf
-  | _ -> None
-
-let mode_name = function Fifo -> "fifo" | Edf -> "edf"
-
 type task = {
   deadline : float;  (* absolute monotonic ms; [infinity] = no budget *)
-  seq : int;  (* admission order: the FIFO key and the EDF tie-break *)
+  seq : int;  (* admission order: the tie-break between equal deadlines *)
   run : unit -> unit;
 }
 
@@ -41,20 +30,16 @@ type t = {
   mutable seq : int;
   mutable stop : bool;
   mutable workers : unit Domain.t array;
-  mode : mode;
   jobs : int;
 }
 
-let mode t = t.mode
 let jobs t = t.jobs
 
 (* ------------------------------------------------------------------ *)
 (* heap plumbing (caller holds the lock) *)
 
-let precedes t (a : task) (b : task) =
-  match t.mode with
-  | Fifo -> a.seq < b.seq
-  | Edf -> a.deadline < b.deadline || (a.deadline = b.deadline && a.seq < b.seq)
+let precedes (a : task) (b : task) =
+  a.deadline < b.deadline || (a.deadline = b.deadline && a.seq < b.seq)
 
 let swap t i j =
   let tmp = t.heap.(i) in
@@ -64,7 +49,7 @@ let swap t i j =
 let rec sift_up t i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if precedes t t.heap.(i) t.heap.(parent) then begin
+    if precedes t.heap.(i) t.heap.(parent) then begin
       swap t i parent;
       sift_up t parent
     end
@@ -73,8 +58,8 @@ let rec sift_up t i =
 let rec sift_down t i =
   let l = (2 * i) + 1 and r = (2 * i) + 2 in
   let best = ref i in
-  if l < t.size && precedes t t.heap.(l) t.heap.(!best) then best := l;
-  if r < t.size && precedes t t.heap.(r) t.heap.(!best) then best := r;
+  if l < t.size && precedes t.heap.(l) t.heap.(!best) then best := l;
+  if r < t.size && precedes t.heap.(r) t.heap.(!best) then best := r;
   if !best <> i then begin
     swap t i !best;
     sift_down t !best
@@ -122,7 +107,7 @@ let worker t =
   in
   loop ()
 
-let create ?(mode = Edf) ~jobs () =
+let create ~jobs () =
   if jobs < 1 then invalid_arg "Dispatch.create: jobs must be >= 1";
   let t =
     {
@@ -133,7 +118,6 @@ let create ?(mode = Edf) ~jobs () =
       seq = 0;
       stop = false;
       workers = [||];
-      mode;
       jobs;
     }
   in

@@ -240,35 +240,3 @@ let find t id =
   locked t @@ fun () ->
   sweep t;
   Option.map (view_of (Clock.now_ms ())) (Hashtbl.find_opt t.table id)
-
-type stats = {
-  s_queued : int;
-  s_running : int;
-  s_done : int;
-  s_cancelled : int;
-  s_retained : int;
-  s_capacity : int;
-}
-
-let stats t =
-  locked t @@ fun () ->
-  sweep t;
-  let s =
-    Hashtbl.fold
-      (fun _ e acc ->
-        match e.state with
-        | Queued -> { acc with s_queued = acc.s_queued + 1 }
-        | Running -> { acc with s_running = acc.s_running + 1 }
-        | Done _ -> { acc with s_done = acc.s_done + 1 }
-        | Cancelled -> { acc with s_cancelled = acc.s_cancelled + 1 })
-      t.table
-      {
-        s_queued = 0;
-        s_running = 0;
-        s_done = 0;
-        s_cancelled = 0;
-        s_retained = 0;
-        s_capacity = t.capacity;
-      }
-  in
-  { s with s_retained = Hashtbl.length t.table }

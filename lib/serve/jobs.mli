@@ -78,14 +78,3 @@ type view = {
 val find : t -> string -> view option
 (** Consistent snapshot of one job; [None] for unknown or TTL-evicted
     ids. *)
-
-type stats = {
-  s_queued : int;
-  s_running : int;
-  s_done : int;
-  s_cancelled : int;
-  s_retained : int;  (** total entries currently held *)
-  s_capacity : int;
-}
-
-val stats : t -> stats

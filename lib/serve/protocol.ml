@@ -99,6 +99,8 @@ let parse_obj body =
 
 let decode f body = try Ok (f (parse_obj body)) with Bad msg -> Error msg
 
+let max_stall_ms = 2000
+
 let solve_request_of_body =
   decode @@ fun obj ->
   let soc, soc_source = soc_of obj in
@@ -141,6 +143,8 @@ let solve_request_of_body =
   | _ -> ());
   let stall_ms = int_field ~default:0 obj "stall_ms" in
   if stall_ms < 0 then bad "\"stall_ms\" must be >= 0";
+  if stall_ms > max_stall_ms then
+    bad "\"stall_ms\" must be <= %d" max_stall_ms;
   {
     soc;
     soc_source;

@@ -16,7 +16,7 @@
       "preempt": 2,             // optional preemption budget (p2/p3)
       "wmax": 64,               // per-core width cap (default 64)
       "max_width": 24,          // p3 only: sweep 1..max_width (default W)
-      "stall_ms": 0 }           // hold a worker (admission tests, load gen)
+      "stall_ms": 0 }           // hold a worker (tests; <= max_stall_ms)
     v}
 
     [p1] ignores the constraint knobs (the empty constraint set); [p3]
@@ -44,7 +44,7 @@ type solve_request = {
   preempt : int option;
   wmax : int;
   max_width : int option;  (** P3 sweep bound; defaults to [tam_width] *)
-  stall_ms : int;
+  stall_ms : int;  (** sleep before solving, in [0, max_stall_ms] *)
 }
 
 type check_request = {
@@ -56,6 +56,11 @@ type check_request = {
   wmax : int;
   partial : bool;  (** waive the completeness check *)
 }
+
+val max_stall_ms : int
+(** 2000: the largest [stall_ms] a solve request may carry. The stall
+    runs on a worker before the budget or a cancel is looked at, so an
+    unbounded one would pin the worker. *)
 
 val solve_request_of_body : string -> (solve_request, string) result
 (** Decode and validate a [/v1/solve] body: JSON shape, benchmark-name

@@ -1,7 +1,7 @@
-(** Blocking HTTP client for the scheduling service — what the
-    [soctest bench-serve] load generator, the serve smoke tests and the
-    unit tests speak. Not a general HTTP client: loopback-oriented, no
-    redirects, no chunked transfer, no TLS.
+(** Blocking HTTP client for the scheduling service — what
+    [soctest jobs], the solvebench load generator, the serve smoke tests
+    and the unit tests speak. Not a general HTTP client:
+    loopback-oriented, no redirects, no chunked transfer, no TLS.
 
     A {!t} holds one kept-alive connection and reuses it transparently
     across {!call}s: responses are [Content-Length]-framed, a

@@ -24,7 +24,6 @@ type config = {
   idle_timeout_ms : float;
   max_connections : int;
   max_conn_requests : int;
-  admission : Dispatch.mode;
   job_capacity : int;
   job_ttl_ms : float;
   slow_ms : float option;
@@ -36,9 +35,8 @@ let config ?(port = 8080)
     ?(queue_depth = 64) ?(max_body = Http.default_max_body)
     ?(read_timeout_ms = 10_000.) ?(idle_timeout_ms = 5_000.)
     ?(max_connections = 64) ?(max_conn_requests = 1000)
-    ?(admission = Dispatch.Edf) ?(job_capacity = Jobs.default_capacity)
-    ?(job_ttl_ms = Jobs.default_ttl_ms) ?slow_ms ?(flight_capacity = 256) ()
-    =
+    ?(job_capacity = Jobs.default_capacity) ?(job_ttl_ms = Jobs.default_ttl_ms)
+    ?slow_ms ?(flight_capacity = 256) () =
   if port < 0 then invalid_arg "Server.config: negative port";
   if workers < 1 then invalid_arg "Server.config: workers must be >= 1";
   if queue_depth < 1 then
@@ -61,8 +59,8 @@ let config ?(port = 8080)
   if flight_capacity < 1 then
     invalid_arg "Server.config: flight_capacity must be >= 1";
   { port; workers; queue_depth; max_body; read_timeout_ms; idle_timeout_ms;
-    max_connections; max_conn_requests; admission; job_capacity; job_ttl_ms;
-    slow_ms; flight_capacity }
+    max_connections; max_conn_requests; job_capacity; job_ttl_ms; slow_ms;
+    flight_capacity }
 
 type t = {
   cfg : config;
@@ -148,7 +146,7 @@ let create ?engine cfg =
     listen_fd = fd;
     bound_port;
     engine_;
-    dispatch = Dispatch.create ~mode:cfg.admission ~jobs:cfg.workers ();
+    dispatch = Dispatch.create ~jobs:cfg.workers ();
     jobs = Jobs.create ~capacity:cfg.job_capacity ~ttl_ms:cfg.job_ttl_ms ();
     inflight = Atomic.make 0;
     conns = Atomic.make 0;
@@ -314,86 +312,6 @@ let healthz t =
          ("connections", Json.Int (Atomic.get t.conns));
          ("workers", Json.Int t.cfg.workers);
          ("queue_depth", Json.Int t.cfg.queue_depth);
-         ("admission", Json.String (Dispatch.mode_name t.cfg.admission));
-       ])
-
-let metrics t =
-  let m = Obs.metrics () in
-  let cache_obj (hits, misses) =
-    Json.Obj [ ("hits", Json.Int hits); ("misses", Json.Int misses) ]
-  in
-  let store_obj =
-    (* per-tier counters: numeric fields are always present so clients
-       (bench-serve) can diff them without probing for the store *)
-    let s = Engine.store_stats t.engine_ in
-    let static =
-      [
-        ("hits", Json.Int s.Engine.hits);
-        ("misses", Json.Int s.Engine.misses);
-        ("audit_rejects", Json.Int s.Engine.audit_rejects);
-        ("write_errors", Json.Int s.Engine.write_errors);
-      ]
-    in
-    match Engine.store t.engine_ with
-    | None -> Json.Obj (("enabled", Json.Bool false) :: static)
-    | Some store ->
-      let fs = Soctest_store.Store.stats store in
-      Json.Obj
-        (("enabled", Json.Bool true)
-        :: static
-        @ [
-            ("path", Json.String (Soctest_store.Store.path store));
-            ("entries", Json.Int fs.Soctest_store.Store.entries);
-            ("file_bytes", Json.Int fs.Soctest_store.Store.file_bytes);
-            ("appends", Json.Int fs.Soctest_store.Store.appends);
-          ])
-  in
-  let jobs_obj =
-    let s = Jobs.stats t.jobs in
-    Json.Obj
-      [
-        ("queued", Json.Int s.Jobs.s_queued);
-        ("running", Json.Int s.Jobs.s_running);
-        ("done", Json.Int s.Jobs.s_done);
-        ("cancelled", Json.Int s.Jobs.s_cancelled);
-        ("retained", Json.Int s.Jobs.s_retained);
-        ("capacity", Json.Int s.Jobs.s_capacity);
-      ]
-  in
-  Json.to_string
-    (Json.Obj
-       [
-         ("uptime_ms", Json.Float (uptime_ms t));
-         ("inflight", Json.Int (Atomic.get t.inflight));
-         ("connections", Json.Int (Atomic.get t.conns));
-         ("admission", Json.String (Dispatch.mode_name t.cfg.admission));
-         ("jobs", jobs_obj);
-         ( "engine",
-           (* counted inside the engine, visible even when Obs is off *)
-           Json.Obj
-             [
-               ("pareto", cache_obj (Engine.pareto_cache_stats t.engine_));
-               ("eval", cache_obj (Engine.eval_cache_stats t.engine_));
-               ("store", store_obj);
-             ] );
-         ( "counters",
-           Json.Obj
-             (List.map (fun (k, v) -> (k, Json.Int v)) m.Obs.counters) );
-         ( "gauges",
-           Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) m.Obs.gauges)
-         );
-         ( "histograms",
-           Json.Obj
-             (List.map
-                (fun (k, buckets) ->
-                  ( k,
-                    Json.List
-                      (List.map
-                         (fun (edge, count) ->
-                           (* the overflow edge is infinity -> null *)
-                           Json.List [ Json.Float edge; Json.Int count ])
-                         buckets) ))
-                m.Obs.histograms) );
        ])
 
 let debug_requests t query =
@@ -475,8 +393,8 @@ let with_store_flags t ctx f =
   r
 
 let handle_solve t ctx (req : Protocol.solve_request) ~budget =
-  (* test/bench aid: hold this worker to make admission control
-     deterministic under test *)
+  (* test aid: hold this worker to make admission control and
+     cancellation deterministic under test *)
   if req.stall_ms > 0 then
     phase ctx "stall" (fun () ->
         Unix.sleepf (float_of_int req.stall_ms /. 1000.));
@@ -756,7 +674,7 @@ let take_cell c =
 
 (* Absolute EDF key for the dispatch queue: a budgeted request's
    deadline in monotonic ms; an unbudgeted one has none and sorts after
-   every budgeted request under {!Dispatch.Edf}. *)
+   every budgeted request. *)
 let budget_of ?budget_ms () =
   match budget_ms with
   | None -> (Budget.unlimited, None)
@@ -932,8 +850,6 @@ let route t conn ~close (req : Http.request) =
   match (req.Http.meth, path) with
   | "GET", "/healthz" ->
     answer (phase ctx "render" (fun () -> json_reply ~status:200 (healthz t)))
-  | "GET", "/v1/metrics" ->
-    answer (phase ctx "render" (fun () -> json_reply ~status:200 (metrics t)))
   | "GET", "/metrics" ->
     answer
       (phase ctx "render" (fun () ->
@@ -974,8 +890,8 @@ let route t conn ~close (req : Http.request) =
   | meth, p
     when List.mem p
            [
-             "/healthz"; "/v1/metrics"; "/metrics"; "/v1/debug/requests";
-             "/v1/solve"; "/v1/check";
+             "/healthz"; "/metrics"; "/v1/debug/requests"; "/v1/solve";
+             "/v1/check";
            ]
          || job_path p <> None ->
     (* a real endpoint spoken to with the wrong verb *)
@@ -1081,7 +997,6 @@ let run t =
         ("port", Json.Int t.bound_port);
         ("workers", Json.Int t.cfg.workers);
         ("queue_depth", Json.Int t.cfg.queue_depth);
-        ("admission", Json.String (Dispatch.mode_name t.cfg.admission));
       ];
   let rec loop () =
     if not (Atomic.get t.stopping) then

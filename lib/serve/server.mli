@@ -21,20 +21,17 @@
     - [POST /v1/check] — audit a {!Soctest_tam.Schedule_io} text with
       {!Soctest_check.Audit.run}; always 200 with the report (a dirty
       schedule is a valid answer here, not a server error).
-    - [GET /v1/metrics] — engine cache statistics per tier, job-store
-      population, plus every {!Soctest_obs.Obs}
-      counter/gauge/histogram, as JSON.
-    - [GET /metrics] — the same {!Soctest_obs.Obs} registry in
-      Prometheus text format ({!Soctest_obs.Prom}), including
-      per-endpoint/per-status request counters, per-endpoint latency
-      histograms and the job-state gauges.
+    - [GET /metrics] — the {!Soctest_obs.Obs} registry in Prometheus
+      text format ({!Soctest_obs.Prom}): the engine's per-tier cache
+      and store counters, per-endpoint/per-status request counters,
+      per-endpoint latency histograms and the job-state gauges.
     - [GET /v1/debug/requests] — the flight recorder: the last
       [flight_capacity] completed requests (newest first; [?limit=N]
       truncates), each with its id, endpoint, status, per-phase timing
       decomposition, cache tier and store-audit flags. Async solves
       appear under the [async:/v1/solve] endpoint when they finish.
     - [GET /healthz] — liveness: status, uptime, in-flight count, open
-      connections, admission mode.
+      connections, worker count and queue depth.
 
     {2 Connections}
 
@@ -75,10 +72,10 @@
     [workers] {!Dispatch} domains sharing one engine. A full window
     answers [429 Too Many Requests] with a [Retry-After] estimated
     from the current backlog and the recent mean handler time. The
-    queue is ordered by [admission] mode: {!Dispatch.Edf} (default)
-    runs budgeted requests earliest-deadline-first so a short-budget
-    request admitted behind a long sweep overtakes it; {!Dispatch.Fifo}
-    restores strict admission order. A request's [budget_ms] becomes a
+    {!Dispatch} queue runs budgeted requests earliest-deadline-first,
+    so a short-budget request admitted behind a long sweep overtakes
+    it; requests without a budget run in arrival order after every
+    budgeted one. A request's [budget_ms] becomes a
     {!Soctest_core.Budget} created {e at admission}, so time spent
     waiting consumes the caller's budget and an overloaded solve
     degrades to the best-incumbent [deadline] response rather than
@@ -110,7 +107,6 @@ type config = {
   max_connections : int;  (** open-connection cap (503 beyond) *)
   max_conn_requests : int;
       (** requests served per connection before it is closed *)
-  admission : Dispatch.mode;  (** queue order: EDF (default) or FIFO *)
   job_capacity : int;  (** async jobs retained at once (503 beyond) *)
   job_ttl_ms : float;  (** finished-job retention before eviction *)
   slow_ms : float option;
@@ -128,7 +124,6 @@ val config :
   ?idle_timeout_ms:float ->
   ?max_connections:int ->
   ?max_conn_requests:int ->
-  ?admission:Dispatch.mode ->
   ?job_capacity:int ->
   ?job_ttl_ms:float ->
   ?slow_ms:float ->
@@ -138,9 +133,9 @@ val config :
 (** Defaults: port 8080, workers
     [max 1 (Domain.recommended_domain_count () - 1)], queue depth 64,
     1 MiB bodies, 10 s read timeout, 5 s idle timeout, 64 connections,
-    1000 requests per connection, EDF admission,
-    {!Jobs.default_capacity} jobs with {!Jobs.default_ttl_ms}
-    retention, no slow threshold, 256 flight records.
+    1000 requests per connection, {!Jobs.default_capacity} jobs with
+    {!Jobs.default_ttl_ms} retention, no slow threshold, 256 flight
+    records.
     @raise Invalid_argument on a non-positive count/cap or a negative
     timeout/threshold. *)
 

@@ -214,3 +214,17 @@ let prom_lint text =
       | Error msg -> Error (Printf.sprintf "line %d: %s: %S" ln msg line))
   in
   go 1 (String.split_on_char '\n' text)
+
+(* The value of one counter in a /metrics body, by its exposition name
+   (e.g. "soctest_engine_cache_eval_hits"); [None] when absent. Obs
+   counters are process-wide, so callers diff a reading taken before
+   the action they check against one taken after. *)
+let prom_counter text name =
+  String.split_on_char '\n' text
+  |> List.find_map (fun line ->
+         match String.rindex_opt line ' ' with
+         | Some i when String.sub line 0 i = name ->
+           Option.map int_of_float
+             (float_of_string_opt
+                (String.sub line (i + 1) (String.length line - i - 1)))
+         | _ -> None)

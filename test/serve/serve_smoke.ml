@@ -1,7 +1,7 @@
 (* Serve smoke: the ISSUE-level daemon lifecycle in one process.
    Start the server on an ephemeral port, solve d695 twice asserting
    the second response is served from the engine cache (visible both in
-   the per-solve cache stats and in /v1/metrics), check /healthz, and
+   the per-solve cache stats and in /metrics), check /healthz, and
    shut down cleanly — the run loop must drain and return. Exercised by
    `dune build @serve-smoke` (pulled into @bench). *)
 
@@ -42,17 +42,23 @@ let () =
     | _ -> die "serve_smoke: solve response not audit-clean");
     member "cache" (member "result" v)
   in
+  let eval_hits () =
+    match
+      Test_helpers.prom_counter (Client.get ~port "/metrics").Client.body
+        "soctest_engine_cache_eval_hits"
+    with
+    | Some v -> v
+    | None -> die "serve_smoke: /metrics lacks the eval cache hit counter"
+  in
   let cold = solve () in
   if jint "eval_computed" cold < 1 then
     die "serve_smoke: cold solve should compute at least one evaluation";
+  let hits0 = eval_hits () in
   let warm = solve () in
   if jint "eval_computed" warm <> 0 || jint "eval_cached" warm <> 1 then
     die "serve_smoke: second identical solve must be a pure cache hit";
-
-  let metrics = Client.json_body (Client.get ~port "/v1/metrics") in
-  let eval = member "eval" (member "engine" metrics) in
-  if jint "hits" eval < 1 then
-    die "serve_smoke: /v1/metrics does not expose the cache hit";
+  if eval_hits () - hits0 < 1 then
+    die "serve_smoke: /metrics does not expose the cache hit";
 
   Server.stop server;
   Domain.join d;

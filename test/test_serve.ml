@@ -1,6 +1,6 @@
 (* lib/serve: the HTTP codec and JSON protocol decoders in isolation,
    then a live loopback server exercised end to end — solve parity with
-   the engine, response auditing, cache visibility in /v1/metrics,
+   the engine, response auditing, cache visibility in /metrics,
    admission control (429 + Retry-After), deadline budgets and graceful
    shutdown. *)
 
@@ -88,7 +88,7 @@ let test_protocol_solve_ok () =
   match
     Protocol.solve_request_of_body
       {|{"soc": "d695", "width": 24, "problem": "p3", "strategy": "grid",
-         "budget_ms": 250, "max_width": 12}|}
+         "budget_ms": 250, "max_width": 12, "stall_ms": 2000}|}
   with
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok r ->
@@ -96,6 +96,8 @@ let test_protocol_solve_ok () =
     Alcotest.(check bool) "p3" true (r.Protocol.problem = Protocol.P3);
     Alcotest.(check bool) "grid" true (r.Protocol.strategy = Protocol.Grid);
     Alcotest.(check (option int)) "max_width" (Some 12) r.Protocol.max_width;
+    Alcotest.(check int)
+      "stall_ms at its bound" Protocol.max_stall_ms r.Protocol.stall_ms;
     Alcotest.(check string) "source" "d695" r.Protocol.soc_source
 
 let test_protocol_solve_errors () =
@@ -117,6 +119,9 @@ let test_protocol_solve_errors () =
   check_err {|{"soc": "d695", "width": 0}|} "width";
   check_err {|{"soc": "d695", "width": 8, "problem": "p9"}|} "p9";
   check_err {|{"soc": "d695", "width": 8, "budget_ms": -1}|} "budget_ms";
+  check_err {|{"soc": "d695", "width": 8, "stall_ms": 2001}|} "stall_ms";
+  check_err {|{"soc": "mini4", "width": 8, "stall_ms": 1000000000}|}
+    "stall_ms";
   check_err {|{"soc": "d695", "soc_text": "Soc x 1", "width": 8}|} "not both"
 
 let test_protocol_check_decode () =
@@ -146,12 +151,11 @@ let test_protocol_check_decode () =
 
 (* ---------------- live server ------------------------------------ *)
 
-let with_server ?(queue_depth = 16) ?(workers = 2) ?job_ttl_ms ?admission f =
+let with_server ?(queue_depth = 16) ?(workers = 2) ?job_ttl_ms f =
   (* metrics-only recording, as the daemon runs it *)
   Soctest_obs.Obs.enable ~events:false ();
   let server =
-    Server.create
-      (Server.config ~port:0 ~workers ~queue_depth ?job_ttl_ms ?admission ())
+    Server.create (Server.config ~port:0 ~workers ~queue_depth ?job_ttl_ms ())
   in
   let d = Domain.spawn (fun () -> Server.run server) in
   Fun.protect
@@ -179,6 +183,15 @@ let jstr = function
   | Json.String s -> s
   | _ -> Alcotest.fail "expected JSON string"
 
+(* One counter off GET /metrics, named without the soctest_ prefix. *)
+let counter port name =
+  match
+    Test_helpers.prom_counter (Client.get ~port "/metrics").Client.body
+      ("soctest_" ^ name)
+  with
+  | Some v -> v
+  | None -> Alcotest.failf "/metrics lacks soctest_%s" name
+
 let test_live_solve_parity () =
   with_server @@ fun server port ->
   let r = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
@@ -202,7 +215,8 @@ let test_live_solve_parity () =
        expected.Engine.result.Soctest_core.Optimizer.schedule)
     (jstr (member "schedule_text" result));
   (* the identical request again must be served from the cache, and the
-     hit must be visible in /v1/metrics *)
+     hit must be visible in /metrics *)
+  let hits0 = counter port "engine_cache_eval_hits" in
   let r2 = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
   let cache = member "cache" (member "result" (Client.json_body r2)) in
   Alcotest.(check int)
@@ -211,11 +225,9 @@ let test_live_solve_parity () =
   Alcotest.(check bool)
     "second solve was a cache hit" true
     (jint (member "eval_cached" cache) >= 1);
-  let m = Client.json_body (Client.get ~port "/v1/metrics") in
-  let eval = member "eval" (member "engine" m) in
   Alcotest.(check bool)
     "metrics expose the hit" true
-    (jint (member "hits" eval) >= 1)
+    (counter port "engine_cache_eval_hits" - hits0 >= 1)
 
 let test_live_check_endpoint () =
   with_server @@ fun _server port ->
@@ -304,8 +316,8 @@ let test_live_deadline_budget () =
     (member "clean" (member "audit" v) = Json.Bool true)
 
 (* A daemon restarted against a warm store must answer a
-   previously-solved request from the disk tier, visibly in
-   /v1/metrics. *)
+   previously-solved request from the disk tier, visibly in the
+   /metrics store counters. *)
 let test_live_warm_restart () =
   let module Store = Soctest_store.Store in
   let path = Filename.temp_file "soctest-serve-test" ".store" in
@@ -326,28 +338,26 @@ let test_live_warm_restart () =
         Soctest_obs.Obs.disable ())
       (fun () -> f server (Server.port server))
   in
-  let store_stat name port =
-    let m = Client.json_body (Client.get ~port "/v1/metrics") in
-    jint (member name (member "store" (member "engine" m)))
-  in
   (* first life: solve, which writes through to the store *)
   let first_schedule =
     with_stored_server @@ fun _server port ->
+    let misses0 = counter port "engine_store_misses"
+    and appends0 = counter port "store_appends" in
     let r = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
     Alcotest.(check int) "first life status" 200 r.Client.status;
     Alcotest.(check bool)
-      "metrics show the store enabled" true
-      (let m = Client.json_body (Client.get ~port "/v1/metrics") in
-       member "enabled" (member "store" (member "engine" m)) = Json.Bool true);
+      "store enabled: the first solve missed it" true
+      (counter port "engine_store_misses" - misses0 >= 1);
     Alcotest.(check bool)
       "first life wrote through" true
-      (store_stat "misses" port >= 1);
+      (counter port "store_appends" - appends0 >= 1);
     jstr (member "schedule_text" (member "result" (Client.json_body r)))
   in
   (* second life: a fresh process-worth of state, same store file *)
   with_stored_server @@ fun _server port ->
-  Alcotest.(check int) "fresh daemon, no disk traffic yet" 0
-    (store_stat "hits" port);
+  let hits0 = counter port "engine_store_hits"
+  and rejects0 = counter port "engine_store_audit_rejects" in
+  Alcotest.(check int) "fresh daemon, no disk traffic yet" 0 hits0;
   let r = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
   Alcotest.(check int) "second life status" 200 r.Client.status;
   let v = Client.json_body r in
@@ -362,9 +372,10 @@ let test_live_warm_restart () =
     "bit-identical across the restart" first_schedule
     (jstr (member "schedule_text" (member "result" v)));
   Alcotest.(check bool)
-    "disk hit visible in /v1/metrics" true
-    (store_stat "hits" port >= 1);
-  Alcotest.(check int) "no audit rejects" 0 (store_stat "audit_rejects" port)
+    "disk hit visible in /metrics" true
+    (counter port "engine_store_hits" - hits0 >= 1);
+  Alcotest.(check int) "no audit rejects" 0
+    (counter port "engine_store_audit_rejects" - rejects0)
 
 (* Tentpole criteria: every response carries x-request-id (inbound ids
    echoed, junk replaced by a fresh ULID), GET /metrics passes a
@@ -536,8 +547,15 @@ let test_live_error_paths () =
   Alcotest.(check int) "malformed JSON -> 400" 400 bad.Client.status;
   let missing = Client.post ~port ~body:{|{"soc": "mini4"}|} "/v1/solve" in
   Alcotest.(check int) "missing width -> 400" 400 missing.Client.status;
-  let lost = Client.get ~port "/nope" in
-  Alcotest.(check int) "unknown path -> 404" 404 lost.Client.status;
+  List.iter
+    (fun path ->
+      let lost = Client.get ~port path in
+      Alcotest.(check int) (path ^ " -> 404") 404 lost.Client.status;
+      Alcotest.(check bool)
+        (path ^ " -> not_found") true
+        (Json.member "code" (Client.json_body lost)
+        = Some (Json.String "not_found")))
+    [ "/nope"; "/v1/metrics" ];
   let wrong = Client.request ~port ~meth:"DELETE" "/v1/solve" in
   Alcotest.(check int) "bad method -> 405" 405 wrong.Client.status
 
@@ -545,10 +563,10 @@ let test_live_error_paths () =
 
 module Dispatch = Soctest_serve.Dispatch
 
-(* Submit a blocker that pins the single worker, queue three tasks with
+(* Submit a blocker that pins the single worker, queue four tasks with
    mixed deadlines, release the blocker and observe the drain order. *)
-let dispatch_order mode =
-  let d = Dispatch.create ~mode ~jobs:1 () in
+let dispatch_order () =
+  let d = Dispatch.create ~jobs:1 () in
   let gate = Mutex.create () and go = Condition.create () in
   let released = ref false in
   let order = ref [] in
@@ -558,7 +576,7 @@ let dispatch_order mode =
         Condition.wait go gate
       done;
       Mutex.unlock gate);
-  (* wait for the worker to pick the blocker up, so all three queue *)
+  (* wait for the worker to pick the blocker up, so all four queue *)
   let rec settle n =
     if Dispatch.queued d > 0 && n > 0 then begin
       Unix.sleepf 0.01;
@@ -568,8 +586,11 @@ let dispatch_order mode =
   settle 100;
   let now = Soctest_obs.Clock.now_ms () in
   let note name () = order := name :: !order in
-  Dispatch.submit d (note "undeadlined");
+  (* the undeadlined pair straddles a deadlined task, so heap order
+     alone would not keep them in submission order *)
+  Dispatch.submit d (note "undeadlined-1");
   Dispatch.submit d ~deadline:(now +. 10_000.) (note "late");
+  Dispatch.submit d (note "undeadlined-2");
   Dispatch.submit d ~deadline:(now +. 100.) (note "soon");
   Mutex.lock gate;
   released := true;
@@ -580,15 +601,9 @@ let dispatch_order mode =
 
 let test_dispatch_edf_order () =
   Alcotest.(check (list string))
-    "deadlines first, earliest first"
-    [ "soon"; "late"; "undeadlined" ]
-    (dispatch_order Dispatch.Edf)
-
-let test_dispatch_fifo_order () =
-  Alcotest.(check (list string))
-    "strict admission order"
-    [ "undeadlined"; "late"; "soon" ]
-    (dispatch_order Dispatch.Fifo)
+    "deadlines first, earliest first, then submission order"
+    [ "soon"; "late"; "undeadlined-1"; "undeadlined-2" ]
+    (dispatch_order ())
 
 (* ---------------- v2: keep-alive, pipelining, async jobs ---------- *)
 
@@ -710,17 +725,6 @@ let test_live_job_ttl_eviction () =
   Alcotest.(check int) "evicted job -> 404" 404
     (Client.job_status c id).Client.status
 
-let test_live_fifo_admission_mode () =
-  (* the FIFO fallback must still serve; EDF-vs-FIFO ordering itself is
-     exercised by the dispatch unit tests and the regression bench *)
-  with_server ~admission:Soctest_serve.Dispatch.Fifo @@ fun _server port ->
-  let r = Client.post ~port ~body:(solve_body 8) "/v1/solve" in
-  Alcotest.(check int) "solve under fifo" 200 r.Client.status;
-  let h = Client.json_body (Client.get ~port "/healthz") in
-  Alcotest.(check bool)
-    "healthz reports the admission mode" true
-    (Json.member "admission" h = Some (Json.String "fifo"))
-
 let () =
   Alcotest.run "serve"
     [
@@ -761,7 +765,6 @@ let () =
       ( "dispatch",
         [
           Alcotest.test_case "edf order" `Quick test_dispatch_edf_order;
-          Alcotest.test_case "fifo order" `Quick test_dispatch_fifo_order;
         ] );
       ( "v2 lifecycle",
         [
@@ -773,7 +776,5 @@ let () =
             test_live_job_cancel_mid_solve;
           Alcotest.test_case "job TTL eviction" `Quick
             test_live_job_ttl_eviction;
-          Alcotest.test_case "fifo admission mode" `Quick
-            test_live_fifo_admission_mode;
         ] );
     ]
