@@ -859,7 +859,10 @@ let route t conn ~close (req : Http.request) =
       (phase ctx "render" (fun () ->
            json_reply ~status:200 (debug_requests t query)))
   | "POST", "/v1/solve" -> (
-    match Protocol.solve_request_of_body req.Http.body with
+    match
+      phase ctx "decode" (fun () ->
+          Protocol.solve_request_of_body req.Http.body)
+    with
     | Error msg ->
       Obs.incr bad_request_c;
       answer (error_reply ~code:Protocol.Bad_request_error msg)
@@ -875,7 +878,10 @@ let route t conn ~close (req : Http.request) =
           (error_reply ~code:Protocol.Bad_request_error
              (Printf.sprintf "unknown mode %S (sync or async)" m))))
   | "POST", "/v1/check" -> (
-    match Protocol.check_request_of_body req.Http.body with
+    match
+      phase ctx "decode" (fun () ->
+          Protocol.check_request_of_body req.Http.body)
+    with
     | Error msg ->
       Obs.incr bad_request_c;
       answer (error_reply ~code:Protocol.Bad_request_error msg)

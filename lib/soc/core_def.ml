@@ -42,11 +42,9 @@ let make ~id ~name ~inputs ~outputs ~bidirs ~scan_chains ~patterns ?power
   { core with power }
 
 let max_useful_width c =
-  (* One wrapper chain per scan chain already achieves the minimal shift
-     length contribution from scan; beyond that, extra wires only spread
-     functional terminals one-per-chain. *)
-  let terminals = max c.inputs (c.outputs + c.bidirs) + c.bidirs in
-  max 1 (max (scan_chain_count c) (min terminals 64))
+  (* one wrapper chain per scan chain, plus one per terminal on the
+     busier side: every extra chain would stay empty *)
+  max 1 (scan_chain_count c + max (c.inputs + c.bidirs) (c.outputs + c.bidirs))
 
 let is_combinational c = c.scan_chains = []
 

@@ -53,8 +53,10 @@ val test_data_bits : t -> int
 (** Total test data volume of the core: [bits_per_pattern * patterns]. *)
 
 val max_useful_width : t -> int
-(** Width beyond which adding TAM wires cannot reduce testing time: every
-    wrapper chain would hold at most one scan chain and one terminal. *)
+(** The saturation width: one wrapper chain per scan chain plus one per
+    terminal on the busier side ([inputs + bidirs] or
+    [outputs + bidirs]), and at least 1. The wrapper design clamps every
+    wider TAM to it, so no wider TAM can change the testing time. *)
 
 val is_combinational : t -> bool
 (** [true] when the core has no internal scan chains. *)

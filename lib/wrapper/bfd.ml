@@ -5,7 +5,7 @@ type assignment = { bins : int list array; loads : int array }
 let packs_counter = Obs.counter "wrapper.bfd_packs"
 let exact_nodes_counter = Obs.counter "wrapper.bfd_exact_nodes"
 
-let least_loaded loads =
+let least_loaded (loads : int array) =
   let best = ref 0 in
   for k = 1 to Array.length loads - 1 do
     if loads.(k) < loads.(!best) then best := k
@@ -18,7 +18,7 @@ let pack ~weights ~bins =
   if Array.exists (fun w -> w < 0) weights then
     invalid_arg "Bfd.pack: negative weight";
   let order = Array.init (Array.length weights) Fun.id in
-  Array.sort (fun a b -> compare weights.(b) weights.(a)) order;
+  Array.sort (fun a b -> Int.compare weights.(b) weights.(a)) order;
   let result = { bins = Array.make bins []; loads = Array.make bins 0 } in
   Array.iter
     (fun item ->
@@ -28,10 +28,10 @@ let pack ~weights ~bins =
     order;
   result
 
-let max_load a = Array.fold_left max 0 a.loads
+let max_load a = Array.fold_left Int.max 0 a.loads
 
 let min_load a =
-  Array.fold_left min max_int a.loads
+  Array.fold_left Int.min max_int a.loads
 
 (* Closed-form water-fill, replacing a unit-at-a-time loop that cost
    O(units x bins) and dominated Pareto preparation (two calls per
@@ -49,9 +49,9 @@ let spread_units ~loads ~units =
   let given = Array.make bins 0 in
   if units > 0 then begin
     let fill level =
-      Array.fold_left (fun acc v -> acc + max 0 (level - v)) 0 loads
+      Array.fold_left (fun acc v -> acc + Int.max 0 (level - v)) 0 loads
     in
-    let min_load = Array.fold_left min loads.(0) loads in
+    let min_load = Array.fold_left Int.min loads.(0) loads in
     (* largest level with fill level <= units; fill is monotone *)
     let lo = ref min_load and hi = ref (min_load + units) in
     while !lo < !hi do
@@ -83,7 +83,7 @@ let exact_max_load ~weights ~bins =
   if Array.length weights > 20 then
     invalid_arg "Bfd.exact_max_load: too many items for exact search";
   let items = Array.copy weights in
-  Array.sort (fun a b -> compare b a) items;
+  Array.sort (fun a b -> Int.compare b a) items;
   let n = Array.length items in
   let loads = Array.make bins 0 in
   (* seed the incumbent with the heuristic *)
@@ -99,7 +99,7 @@ let exact_max_load ~weights ~bins =
         if (not empty) || not !seen_empty then begin
           if empty then seen_empty := true;
           loads.(b) <- loads.(b) + items.(k);
-          place (k + 1) (max current_max loads.(b));
+          place (k + 1) (Int.max current_max loads.(b));
           loads.(b) <- loads.(b) - items.(k)
         end
       done

@@ -3,7 +3,7 @@ module Obs = Soctest_obs.Obs
 
 type t = {
   core_id : int;
-  wmax : int;
+  wmax : int;  (** requested; the arrays stop at the saturation width *)
   raw : int array;  (** raw.(w-1) = Design_wrapper time at width w *)
   envelope : int array;  (** prefix minimum of [raw] *)
   effective : int array;  (** smallest width achieving [envelope.(w-1)] *)
@@ -12,19 +12,85 @@ type t = {
 
 let computes_counter = Obs.counter "pareto.computes"
 
+(* The staircase kernel, equal to [Wrapper_design.design] at every width
+   (test_pareto checks it). [design] packs the scan chains largest-first
+   onto the least-loaded of [bins = min w saturation] wrapper chains,
+   then water-fills the terminals onto the lightest ones. T(w) reads
+   only the longest scan-in and scan-out, so only those are derived:
+   - Packing onto any least-loaded chain leaves the same multiset of
+     loads whatever the tie order, so a min-heap replaces the index
+     scan; from [bins >= chains] on each chain gets its own wrapper
+     chain and no packing runs.
+   - The water-fill conserves cells and either stays below the longest
+     load or levels every wrapper chain to within one cell, so the
+     longest scan-in is max(longest load,
+     ceil((inputs + bidirs + flip_flops) / bins)); likewise scan-out.
+   - Past the saturation width [design] clamps, so the arrays stop. *)
+
+(* Sift [x] down from slot [i] of the min-heap [heap.(0..size-1)]. *)
+let rec sift_down (heap : int array) size x i =
+  let l = (2 * i) + 1 in
+  if l >= size then heap.(i) <- x
+  else begin
+    let c = if l + 1 < size && heap.(l + 1) < heap.(l) then l + 1 else l in
+    if heap.(c) < x then begin
+      heap.(i) <- heap.(c);
+      sift_down heap size x c
+    end
+    else heap.(i) <- x
+  end
+
+(* The longest load when [chains] (descending) are packed largest-first
+   onto the least-loaded of [bins] wrapper chains. *)
+let longest_load heap ~chains ~bins =
+  Array.fill heap 0 bins 0;
+  let longest = ref 0 in
+  for k = 0 to Array.length chains - 1 do
+    let load = heap.(0) + chains.(k) in
+    sift_down heap bins load 0;
+    longest := Int.max !longest load
+  done;
+  !longest
+
+(* The longest scan-in (or scan-out) once [units] terminal cells are
+   water-filled onto [bins] wrapper chains whose longest load is
+   [longest]. *)
+let longest_cell ~longest ~flip_flops ~bins units =
+  Int.max longest ((units + flip_flops + bins - 1) / bins)
+
+let staircase core ~wmax =
+  let chains = Array.of_list core.Core_def.scan_chains in
+  Array.sort (fun a b -> Int.compare b a) chains;
+  let n = Array.length chains in
+  let heap = Array.make n 0 in
+  let flip_flops = Core_def.flip_flops core in
+  let ins = core.Core_def.inputs + core.Core_def.bidirs in
+  let outs = core.Core_def.outputs + core.Core_def.bidirs in
+  Array.init
+    (Int.min wmax (Core_def.max_useful_width core))
+    (fun k ->
+      let bins = k + 1 in
+      let longest =
+        if bins < n then longest_load heap ~chains ~bins
+        else if n > 0 then chains.(0)
+        else 0
+      in
+      Wrapper_design.time_formula
+        ~si:(longest_cell ~longest ~flip_flops ~bins ins)
+        ~so:(longest_cell ~longest ~flip_flops ~bins outs)
+        ~patterns:core.Core_def.patterns)
+
 let compute core ~wmax =
   if wmax < 1 then invalid_arg "Pareto.compute: wmax must be >= 1";
   Obs.incr computes_counter;
   Obs.with_span ~cat:"wrapper" "pareto.compute"
     ~args:[ ("core", string_of_int core.Core_def.id) ]
   @@ fun () ->
-  let raw =
-    Array.init wmax (fun k ->
-        Wrapper_design.testing_time core ~width:(k + 1))
-  in
+  let raw = staircase core ~wmax in
+  let len = Array.length raw in
   let envelope = Array.copy raw in
-  let effective = Array.make wmax 1 in
-  for w = 1 to wmax - 1 do
+  let effective = Array.make len 1 in
+  for w = 1 to len - 1 do
     if envelope.(w) < envelope.(w - 1) then effective.(w) <- w + 1
     else begin
       envelope.(w) <- envelope.(w - 1);
@@ -32,7 +98,7 @@ let compute core ~wmax =
     end
   done;
   let pareto = ref [] in
-  for w = wmax downto 1 do
+  for w = len downto 1 do
     if w = 1 || envelope.(w - 1) < envelope.(w - 2) then
       pareto := w :: !pareto
   done;
@@ -42,9 +108,10 @@ let compute core ~wmax =
 let core_id t = t.core_id
 let wmax t = t.wmax
 
+(* Widths past the saturation width (or [wmax]) read the last entry. *)
 let clamp t width =
   if width < 1 then invalid_arg "Pareto: width must be >= 1";
-  min width t.wmax
+  Int.min width (Array.length t.raw)
 
 let time t ~width = t.envelope.(clamp t width - 1)
 let raw_time t ~width = t.raw.(clamp t width - 1)
@@ -56,7 +123,7 @@ let highest_pareto t =
   | w :: _ -> w
   | [] -> 1 (* unreachable: pareto always contains width 1 *)
 
-let min_time t = t.envelope.(t.wmax - 1)
+let min_time t = t.envelope.(Array.length t.envelope - 1)
 
 let rectangles t = List.map (fun w -> (w, time t ~width:w)) t.pareto
 

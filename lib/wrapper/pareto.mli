@@ -11,11 +11,18 @@
 type t
 
 val compute : Soctest_soc.Core_def.t -> wmax:int -> t
-(** Evaluates the wrapper design at every width in [1..wmax].
+(** The staircase over widths [1..wmax], equal at every width to
+    {!Wrapper_design.testing_time}, in one pass: the scan chains are
+    sorted once and only the longest scan-in and scan-out are derived
+    per width, without building a wrapper. Work and memory stop at the
+    core's saturation width ({!Soctest_soc.Core_def.max_useful_width}),
+    past which the time no longer changes, so any [wmax] is cheap.
     @raise Invalid_argument if [wmax < 1]. *)
 
 val core_id : t -> int
+
 val wmax : t -> int
+(** The [wmax] the staircase was computed for, as requested. *)
 
 val time : t -> width:int -> int
 (** Envelope testing time when [width] TAM wires are available. Widths

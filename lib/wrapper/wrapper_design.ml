@@ -10,7 +10,7 @@ type t = {
 }
 
 let time_formula ~si ~so ~patterns =
-  ((1 + max si so) * patterns) + min si so
+  ((1 + Int.max si so) * patterns) + Int.min si so
 
 let design (core : Core_def.t) ~width =
   if width < 1 then invalid_arg "Wrapper_design.design: width must be >= 1";
@@ -19,18 +19,15 @@ let design (core : Core_def.t) ~width =
   let out_terminals = core.Core_def.outputs + core.Core_def.bidirs in
   (* A wrapper chain carrying neither scan nor terminals is useless; clamp
      so every wrapper chain holds at least one cell. *)
-  let useful =
-    max 1 (Array.length chains + max in_terminals out_terminals)
-  in
-  let bins = min width useful in
+  let bins = Int.min width (Core_def.max_useful_width core) in
   let packed = Bfd.pack ~weights:chains ~bins in
   let loads = packed.Bfd.loads in
   let input_cells = Bfd.spread_units ~loads ~units:in_terminals in
   let output_cells = Bfd.spread_units ~loads ~units:out_terminals in
   let scan_in = Array.mapi (fun k load -> load + input_cells.(k)) loads in
   let scan_out = Array.mapi (fun k load -> load + output_cells.(k)) loads in
-  let si = Array.fold_left max 0 scan_in in
-  let so = Array.fold_left max 0 scan_out in
+  let si = Array.fold_left Int.max 0 scan_in in
+  let so = Array.fold_left Int.max 0 scan_out in
   {
     width = bins;
     scan_in;
@@ -56,10 +53,7 @@ let design_exact (core : Core_def.t) ~width =
   else begin
     let in_terminals = core.Core_def.inputs + core.Core_def.bidirs in
     let out_terminals = core.Core_def.outputs + core.Core_def.bidirs in
-    let useful =
-      max 1 (Array.length chains + max in_terminals out_terminals)
-    in
-    let bins = min width useful in
+    let bins = Int.min width (Core_def.max_useful_width core) in
     (* recover an optimal assignment: rerun the B&B but keep loads *)
     let target = Bfd.exact_max_load ~weights:chains ~bins in
     (* greedy reconstruction: place items largest-first, never letting a
@@ -67,7 +61,7 @@ let design_exact (core : Core_def.t) ~width =
        ... except greedy order may paint itself into a corner, so search
        with backtracking (small n) *)
     let order = Array.init (Array.length chains) Fun.id in
-    Array.sort (fun a b -> compare chains.(b) chains.(a)) order;
+    Array.sort (fun a b -> Int.compare chains.(b) chains.(a)) order;
     let loads = Array.make bins 0 in
     let exception Found of int array in
     let rec place k =
@@ -93,8 +87,8 @@ let design_exact (core : Core_def.t) ~width =
     let scan_out =
       Array.mapi (fun k load -> load + output_cells.(k)) loads
     in
-    let si = Array.fold_left max 0 scan_in in
-    let so = Array.fold_left max 0 scan_out in
+    let si = Array.fold_left Int.max 0 scan_in in
+    let so = Array.fold_left Int.max 0 scan_out in
     {
       width = bins;
       scan_in;

@@ -38,6 +38,25 @@ let gen_core id =
     (Core_def.make ~id ~name:(Printf.sprintf "g%d" id) ~inputs ~outputs
        ~bidirs ~scan_chains:chains ~patterns ())
 
+(* Cores past [gen_core]'s reach: enough chains that the wrapper packs
+   several onto one wrapper chain, and enough terminals that the
+   saturation width lies beyond typical TAM widths. *)
+let gen_wide_core id =
+  let open QCheck.Gen in
+  let* chain_count = int_range 0 60 in
+  let* chains = list_repeat chain_count (int_range 1 500) in
+  let* inputs = int_range 0 400 in
+  let* outputs = int_range 0 400 in
+  let* bidirs = int_range 0 50 in
+  let* patterns = int_range 1 500 in
+  (* a core needs at least one terminal or scan chain *)
+  let inputs =
+    if chains = [] && inputs + outputs + bidirs = 0 then 1 else inputs
+  in
+  return
+    (Core_def.make ~id ~name:(Printf.sprintf "w%d" id) ~inputs ~outputs
+       ~bidirs ~scan_chains:chains ~patterns ())
+
 let gen_soc =
   let open QCheck.Gen in
   let* n = int_range 1 8 in
@@ -78,6 +97,15 @@ let gen_soc_with_constraints =
 let arb_soc_with_constraints =
   QCheck.make gen_soc_with_constraints ~print:(fun (soc, c, w) ->
       Format.asprintf "%a@.%a@.W=%d" Soc_def.pp soc Constraint_def.pp c w)
+
+(* ---------------- oracles ---------------- *)
+
+(* The raw testing-time staircase the slow way: one full wrapper design
+   per width, as Pareto.compute built it before its one-pass kernel.
+   The kernel must match it at every width. *)
+let reference_staircase core ~wmax =
+  Array.init wmax (fun k ->
+      Soctest_wrapper.Wrapper_design.testing_time core ~width:(k + 1))
 
 (* ---------------- assertions ---------------- *)
 

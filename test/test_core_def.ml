@@ -1,6 +1,7 @@
 (* Unit tests for the core description record. *)
 
 module Core_def = Soctest_soc.Core_def
+module W = Soctest_wrapper.Wrapper_design
 
 let mk = Test_helpers.core
 
@@ -33,6 +34,29 @@ let test_max_useful_width () =
   Alcotest.(check bool) "at least chains" true (Core_def.max_useful_width c >= 2);
   let comb = mk ~inputs:2 ~outputs:1 ~scan:[] 2 "comb" in
   Alcotest.(check bool) "at least 1" true (Core_def.max_useful_width comb >= 1)
+
+(* The saturation width is exact: no wider TAM changes the testing
+   time. A combinational core with 200 inputs keeps improving well past
+   64 wires and stops at 200. *)
+let test_max_useful_width_many_terminals () =
+  let c = mk ~inputs:200 ~outputs:5 ~scan:[] ~patterns:10 1 "wide" in
+  Alcotest.(check int) "saturation width" 200 (Core_def.max_useful_width c);
+  List.iter
+    (fun (width, time) ->
+      Alcotest.(check int)
+        (Printf.sprintf "T(%d)" width)
+        time (W.testing_time c ~width))
+    [ (64, 51); (100, 31); (200, 21); (1000, 21) ]
+
+let prop_saturation_is_final =
+  Test_helpers.qtest "no width past max_useful_width changes the time"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (c, extra) -> Format.asprintf "%a +%d" Core_def.pp c extra)
+       QCheck.Gen.(pair (Test_helpers.gen_wide_core 1) (int_range 1 5000)))
+    (fun (c, extra) ->
+      let sat = Core_def.max_useful_width c in
+      W.testing_time c ~width:sat = W.testing_time c ~width:(sat + extra))
 
 let check_invalid name f =
   Alcotest.test_case name `Quick (fun () ->
@@ -68,6 +92,9 @@ let () =
           Alcotest.test_case "explicit power" `Quick test_explicit_power;
           Alcotest.test_case "combinational" `Quick test_combinational;
           Alcotest.test_case "max useful width" `Quick test_max_useful_width;
+          Alcotest.test_case "max useful width, many terminals" `Quick
+            test_max_useful_width_many_terminals;
+          prop_saturation_is_final;
           Alcotest.test_case "equality" `Quick test_equal;
           Alcotest.test_case "pp smoke" `Quick test_pp_smoke;
         ] );

@@ -3,6 +3,8 @@
 module Pareto = Soctest_wrapper.Pareto
 module W = Soctest_wrapper.Wrapper_design
 module Core_def = Soctest_soc.Core_def
+module Soc_def = Soctest_soc.Soc_def
+module Synth = Soctest_soc.Synth
 
 let mk = Test_helpers.core
 
@@ -253,6 +255,112 @@ let prop_envelope_matches_design_min =
       done;
       !ok)
 
+(* Bit-identity of the one-pass kernel with one full wrapper design per
+   width (Test_helpers.reference_staircase). [raw_time] past [wmax]
+   clamps to [wmax], where the oracle's last entry sits. *)
+
+let raw_matches_reference core ~wmax =
+  let p = Pareto.compute core ~wmax in
+  let oracle = Test_helpers.reference_staircase core ~wmax in
+  Pareto.wmax p = wmax
+  && List.for_all
+       (fun w -> Pareto.raw_time p ~width:w = oracle.(Int.min w wmax - 1))
+       (List.init (wmax + 2) (fun k -> k + 1))
+
+let check_raw_matches name core ~wmax =
+  if not (raw_matches_reference core ~wmax) then
+    Alcotest.failf
+      "%s core %d (%s) wmax=%d: staircase differs from the per-width design"
+      name core.Core_def.id core.Core_def.name wmax
+
+let prop_raw_matches_reference =
+  Test_helpers.qtest "raw staircase equals the per-width design" ~count:300
+    (QCheck.make
+       ~print:(fun (core, wmax) ->
+         Format.asprintf "%a wmax=%d" Core_def.pp core wmax)
+       QCheck.Gen.(pair (Test_helpers.gen_wide_core 1) (int_range 1 150)))
+    (fun (core, wmax) -> raw_matches_reference core ~wmax)
+
+let test_embedded_match_reference () =
+  List.iter
+    (fun (name, soc) ->
+      Array.iter
+        (fun core ->
+          List.iter
+            (fun wmax -> check_raw_matches name core ~wmax)
+            [ 1; 2; 8; 64; 200 ])
+        soc.Soc_def.cores)
+    (Soctest_soc.Benchmarks.all ())
+
+(* The SOC profile of the cold_solve benchmark workload: 19-32 cores
+   spanning p22810 to p93791 in data volume, solved at the default
+   wmax of 64. *)
+let cold_profile_soc i =
+  let rng = Synth.rng_of_seed (Int64.of_int (7919 * (i + 1))) in
+  Synth.generate
+    {
+      Synth.name = Printf.sprintf "cold%d" i;
+      seed = Int64.of_int (Synth.next_int rng 1_000_000_007);
+      core_count = 19 + Synth.next_int rng 14;
+      target_data_bits = 6_000_000 + Synth.next_int rng 22_000_001;
+      big_core_fraction = 0.25;
+      combinational_fraction = 0.2;
+      hierarchy_pairs = 2;
+      bist_engines = 2;
+    }
+
+let test_cold_profile_match_reference () =
+  for i = 0 to 39 do
+    let soc = cold_profile_soc i in
+    Array.iter
+      (fun core -> check_raw_matches soc.Soc_def.name core ~wmax:64)
+      soc.Soc_def.cores
+  done
+
+(* A staircase stops at the core's saturation width whatever [wmax]
+   asks for: an absurd [wmax] costs what the saturation width costs and
+   answers every width the same. *)
+
+let same_staircase ~upto a b =
+  Pareto.pareto_widths a = Pareto.pareto_widths b
+  && Pareto.min_time a = Pareto.min_time b
+  && List.for_all
+       (fun w ->
+         Pareto.raw_time a ~width:w = Pareto.raw_time b ~width:w
+         && Pareto.time a ~width:w = Pareto.time b ~width:w
+         && Pareto.effective_width a ~width:w
+            = Pareto.effective_width b ~width:w)
+       (List.init upto (fun k -> k + 1))
+
+let huge_wmax = 1 lsl 40
+
+let test_embedded_saturation () =
+  List.iter
+    (fun (name, soc) ->
+      Array.iter
+        (fun core ->
+          let huge = Pareto.compute core ~wmax:huge_wmax in
+          Alcotest.(check int) "wmax reports the request" huge_wmax
+            (Pareto.wmax huge);
+          let capped = Pareto.compute core ~wmax:1024 in
+          if not (same_staircase ~upto:1024 huge capped) then
+            Alcotest.failf "%s core %d: wmax 2^40 differs from wmax 1024" name
+              core.Core_def.id)
+        soc.Soc_def.cores)
+    (Soctest_soc.Benchmarks.all ())
+
+let prop_saturation_bound =
+  Test_helpers.qtest "wmax past the saturation width changes nothing"
+    ~count:300
+    (QCheck.make
+       ~print:(Format.asprintf "%a" Core_def.pp)
+       (Test_helpers.gen_wide_core 1))
+    (fun core ->
+      let sat = Core_def.max_useful_width core in
+      same_staircase ~upto:(sat + 8)
+        (Pareto.compute core ~wmax:huge_wmax)
+        (Pareto.compute core ~wmax:sat))
+
 let () =
   Alcotest.run "pareto"
     [
@@ -294,5 +402,16 @@ let () =
           prop_envelope_nonincreasing;
           prop_pareto_corners_are_drops;
           prop_envelope_matches_design_min;
+        ] );
+      ( "kernel",
+        [
+          prop_raw_matches_reference;
+          Alcotest.test_case "embedded SOCs match the per-width design" `Quick
+            test_embedded_match_reference;
+          Alcotest.test_case "cold-profile SOCs match the per-width design"
+            `Quick test_cold_profile_match_reference;
+          Alcotest.test_case "embedded staircases stop at saturation" `Quick
+            test_embedded_saturation;
+          prop_saturation_bound;
         ] );
     ]

@@ -497,6 +497,31 @@ let test_live_flight_recorder () =
       true
       (sum >= 0.9 *. total && sum <= 1.1 *. total)
 
+(* Nothing caps "wmax" on the wire, and a staircase stops at its core's
+   saturation width, so an absurd wmax costs what a sane one costs. The
+   client timeout turns a regression into a failure instead of a hang. *)
+let test_live_oversized_wmax () =
+  with_server @@ fun _server port ->
+  List.iter
+    (fun (soc, width, wmax) ->
+      let body =
+        Json.to_string
+          (Json.Obj
+             [
+               ("soc", Json.String soc);
+               ("width", Json.Int width);
+               ("wmax", Json.Int wmax);
+               ("budget_ms", Json.Int 50);
+             ])
+      in
+      let what = Printf.sprintf "%s W=%d wmax=%d" soc width wmax in
+      let r = Client.request ~port ~timeout_ms:5000. ~body "/v1/solve" in
+      Alcotest.(check int) (what ^ ": status") 200 r.Client.status;
+      Alcotest.(check bool)
+        (what ^ ": audited clean") true
+        (member "clean" (member "audit" (Client.json_body r)) = Json.Bool true))
+    [ ("d695", 32, 20_000); ("mini4", 8, 100_000_000); ("mini4", 8, 1 lsl 40) ]
+
 (* The rectangle-packing strategies over HTTP: a rectpack solve must
    come back audited clean with the lower_bound/gap_pct fields every
    solve response now carries, and its makespan must match a direct
@@ -761,6 +786,7 @@ let () =
             test_live_flight_recorder;
           Alcotest.test_case "warm restart from store" `Quick
             test_live_warm_restart;
+          Alcotest.test_case "oversized wmax" `Quick test_live_oversized_wmax;
         ] );
       ( "dispatch",
         [
