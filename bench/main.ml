@@ -181,26 +181,13 @@ let extension_benches =
        5-core prefix vs the heuristic's microseconds above *)
     Test.make ~name:"extension/exact_bnb_d695_5cores_w16"
       (Staged.stage
-         (let sub =
-            Soctest_soc.Soc_def.make ~name:"d695_5"
-              ~cores:
-                (Array.to_list d695.Soctest_soc.Soc_def.cores
-                |> List.filteri (fun i _ -> i < 5)
-                |> List.map (fun (c : Soctest_soc.Core_def.t) ->
-                       Soctest_soc.Core_def.make ~id:c.Soctest_soc.Core_def.id
-                         ~name:c.Soctest_soc.Core_def.name
-                         ~inputs:c.Soctest_soc.Core_def.inputs
-                         ~outputs:c.Soctest_soc.Core_def.outputs
-                         ~bidirs:c.Soctest_soc.Core_def.bidirs
-                         ~scan_chains:c.Soctest_soc.Core_def.scan_chains
-                         ~patterns:c.Soctest_soc.Core_def.patterns ()))
-              ()
-          in
+         (let sub = Soctest_experiments.Exact_gap.prefix d695 5 in
           let prep = O.prepare sub in
+          let constraints = unconstrained sub in
           fun () ->
             ignore
-              (Soctest_baselines.Exact.solve ~node_limit:2_000_000 prep
-                 ~tam_width:16)));
+              (Soctest_pack.Bnb.solve ~node_limit:2_000_000 prep
+                 ~tam_width:16 ~constraints)));
     Test.make ~name:"extension/polish_d695_w48"
       (Staged.stage (fun () ->
            let seed =

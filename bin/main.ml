@@ -301,8 +301,9 @@ let extras_cmd =
     wrap (fun () ->
         let soc = load_soc soc_name in
         let name = soc.Soc_def.name in
-        print_string (Soctest_experiments.Exact_gap.to_table
-                        (Soctest_experiments.Exact_gap.run ~soc ()));
+        print_string
+          (Soctest_experiments.Exact_gap.to_table ~soc_name:name
+             (Soctest_experiments.Exact_gap.run ~soc ()));
         print_newline ();
         print_string
           (Soctest_experiments.Tester_exp.memory_to_table ~soc_name:name
@@ -497,8 +498,8 @@ let portfolio_cmd =
       & info [ "strategies" ] ~docv:"KINDS"
           ~doc:
             "Comma-separated strategy kinds to race: any of grid, anneal, \
-             polish, baseline, exact, rectpack, rectpack-diagonal, \
-             exact-bnb, or $(b,all) (see $(b,--list-strategies)).")
+             polish, baseline, rectpack, rectpack-diagonal, exact-bnb, or \
+             $(b,all) (see $(b,--list-strategies)).")
   in
   let list_strategies =
     Arg.(
@@ -588,8 +589,8 @@ let portfolio_cmd =
         in
         if strats = [] then
           failwith
-            "no strategies to race (note: exact is gated to SOCs with at \
-             most 6 cores, exact-bnb to 12)";
+            "no strategies to race (note: exact-bnb is gated to SOCs with \
+             at most 12 cores)";
         let jobs = if jobs <= 0 then None else Some jobs in
         let r =
           Soctest_portfolio.Portfolio.run ?jobs ?deadline_ms:deadline strats
@@ -629,7 +630,7 @@ let portfolio_cmd =
        ~doc:
          "Race the optimizer parameter grid, annealing restarts, polish, \
           the baselines, the rectangle-bin-packing family and the exact \
-          solvers concurrently across OCaml domains; the winner is \
+          branch-and-bound concurrently across OCaml domains; the winner is \
           selected deterministically (best makespan, ties by registration \
           order — never by completion order).")
     Term.(

@@ -48,30 +48,22 @@ let () =
     sa.Anneal.result.Optimizer.testing_time;
 
   (* 5. on a 5-core sub-SOC, certify optimality with branch-and-bound *)
-  let sub =
-    Soc_def.make ~name:"d695_front5"
-      ~cores:
-        (Array.to_list soc.Soc_def.cores
-        |> List.filteri (fun i _ -> i < 5)
-        |> List.map (fun (c : Core_def.t) ->
-               Core_def.make ~id:c.Core_def.id ~name:c.Core_def.name
-                 ~inputs:c.Core_def.inputs ~outputs:c.Core_def.outputs
-                 ~bidirs:c.Core_def.bidirs ~scan_chains:c.Core_def.scan_chains
-                 ~patterns:c.Core_def.patterns ()))
-      ()
-  in
+  let sub = Experiments.Exact_gap.prefix soc 5 in
   let sub_prepared = Optimizer.prepare sub in
   let sub_constraints = Constraint_def.unconstrained ~core_count:5 in
   let sub_grid =
     Optimizer.best_over_params sub_prepared ~tam_width:16
       ~constraints:sub_constraints ()
   in
-  let exact = Exact.solve ~node_limit:2_000_000 sub_prepared ~tam_width:16 in
+  let exact =
+    Bnb.solve ~node_limit:2_000_000 sub_prepared ~tam_width:16
+      ~constraints:sub_constraints
+  in
   Printf.printf
     "\n5-core sub-SOC at W=16: heuristic %d vs exact %d (%s, %d B&B nodes)\n"
-    sub_grid.Optimizer.testing_time exact.Exact.testing_time
-    (if exact.Exact.optimal then "proved optimal" else "budget hit")
-    exact.Exact.nodes;
+    sub_grid.Optimizer.testing_time exact.Bnb.testing_time
+    (if exact.Bnb.optimal then "proved optimal" else "budget hit")
+    exact.Bnb.nodes;
   Printf.printf
     "\nTakeaway: the paper's greedy+grid lands within a few %% of optimal;\n\
      width-vector search (polish/annealing) closes part of the rest at\n\

@@ -86,6 +86,7 @@ let polish ?(max_rounds = 10) ?(budget = Budget.unlimited)
 let best_with_polish ?max_rounds ?budget ?eval prepared ~tam_width
     ~constraints () =
   let seed =
-    Optimizer.best_over_params ?budget prepared ~tam_width ~constraints ()
+    Optimizer.best_over_params ?budget ?eval prepared ~tam_width
+      ~constraints ()
   in
   polish ?max_rounds ?budget ?eval prepared ~tam_width ~constraints seed

@@ -47,4 +47,4 @@ val best_with_polish :
   unit ->
   report
 (** Convenience: {!Optimizer.best_over_params} then {!polish}, under the
-    same [budget]. *)
+    same [budget] and [eval]. *)

@@ -464,8 +464,9 @@ let grid_points ~wmax ?(percents = default_percents)
         deltas)
     percents
 
-let best_over_params ?(budget = Budget.unlimited) prepared ~tam_width
-    ~constraints ?percents ?deltas ?slacks ?widens () =
+let best_over_params ?(budget = Budget.unlimited)
+    ?(eval : evaluator = run_request) prepared ~tam_width ~constraints
+    ?percents ?deltas ?slacks ?widens () =
   Obs.with_span ~cat:"phase" "optimizer.grid" @@ fun () ->
   let points =
     grid_points ~wmax:prepared.wmax ?percents ?deltas ?slacks ?widens ()
@@ -480,7 +481,9 @@ let best_over_params ?(budget = Budget.unlimited) prepared ~tam_width
       if !best = None || not (Budget.exhausted budget) then begin
         Obs.incr grid_cells_counter;
         Budget.note_eval budget;
-        let result = run prepared ~tam_width ~constraints ~params in
+        let result =
+          eval prepared (request ~params ~tam_width ~constraints ())
+        in
         match !best with
         | Some r when r.testing_time <= result.testing_time -> ()
         | _ -> best := Some result

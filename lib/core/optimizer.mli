@@ -130,11 +130,12 @@ val grid_points :
   unit ->
   params list
 (** The exact parameter enumeration of {!best_over_params} (percent-major,
-    then delta, slack, widen), exported so the engine and the portfolio
-    reproduce the sequential optimum including its tie choice. *)
+    then delta, slack, widen), exported so the portfolio reproduces the
+    sequential optimum including its tie choice. *)
 
 val best_over_params :
   ?budget:Budget.t ->
+  ?eval:evaluator ->
   prepared ->
   tam_width:int ->
   constraints:Soctest_constraints.Constraint_def.t ->
@@ -150,4 +151,8 @@ val best_over_params :
     on/off) and keep the schedule with the smallest testing time (ties:
     first found). When [budget] expires mid-grid the best incumbent so
     far is returned (at least the first point is always evaluated);
-    query [Budget.exhausted] to detect the degradation. *)
+    query [Budget.exhausted] to detect the degradation. [eval] (default
+    {!run_request}) evaluates each point — the hook the engine's caching
+    evaluator plugs into; it is called once per evaluated point, in
+    enumeration order. This is the repo's one grid loop:
+    [Engine.solve] searches through it. *)

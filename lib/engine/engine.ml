@@ -465,11 +465,12 @@ let solve t (r : request) =
     ~args:
       [ ("soc", r.soc.Soc_def.name); ("W", string_of_int r.tam_width) ]
   @@ fun () ->
-  let points =
-    Optimizer.grid_points ~wmax:r.wmax ~percents:r.grid.percents
-      ~deltas:r.grid.deltas ~slacks:r.grid.slacks ~widens:r.grid.widens ()
+  let g = r.grid in
+  let grid_size =
+    List.length g.percents * List.length g.deltas * List.length g.slacks
+    * List.length g.widens
   in
-  if points = [] then invalid_arg "Engine.solve: empty parameter grid";
+  if grid_size = 0 then invalid_arg "Engine.solve: empty parameter grid";
   let pareto_misses0 = Cache.misses t.pareto_cache in
   let prepared, prep_outcome = prepare_with_outcome t ~wmax:r.wmax r.soc in
   (* a prepare-level hit skips the per-core cache entirely: every
@@ -481,53 +482,38 @@ let solve t (r : request) =
   in
   let pareto_cached = Soc_def.core_count r.soc - pareto_computed in
   let tally = new_tally () in
-  let best = ref None in
   let evaluated = ref 0 in
-  List.iter
-    (fun params ->
-      (* the first point always runs: an expired budget still yields a
-         valid incumbent *)
-      if !best = None || not (Budget.exhausted r.budget) then begin
-        Budget.note_eval r.budget;
-        incr evaluated;
-        let req =
-          Optimizer.request ~params ~tam_width:r.tam_width
-            ~constraints:r.constraints ()
-        in
-        let result = cached_eval t ~tally prepared req in
-        match !best with
-        | Some b
-          when b.Optimizer.testing_time <= result.Optimizer.testing_time ->
-          ()
-        | _ -> best := Some result
-      end)
-    points;
+  let eval ?overrides prepared req =
+    incr evaluated;
+    cached_eval t ~tally ?overrides prepared req
+  in
+  let best =
+    Optimizer.best_over_params ~budget:r.budget ~eval prepared
+      ~tam_width:r.tam_width ~constraints:r.constraints ~percents:g.percents
+      ~deltas:g.deltas ~slacks:g.slacks ~widens:g.widens ()
+  in
   (* debug-mode post-condition: with SOCTEST_AUDIT on, every schedule the
      engine hands out is re-audited from first principles *)
-  (match !best with
-  | Some b ->
-    Soctest_check.Audit.enforce
-      ~source:
-        (Printf.sprintf "engine.solve %s W=%d" r.soc.Soc_def.name
-           r.tam_width)
-      r.soc
-      (audit_spec t ~wmax:r.wmax ~expect_tam_width:r.tam_width r.constraints)
-      b.Optimizer.schedule
-  | None -> ());
+  Soctest_check.Audit.enforce
+    ~source:
+      (Printf.sprintf "engine.solve %s W=%d" r.soc.Soc_def.name r.tam_width)
+    r.soc
+    (audit_spec t ~wmax:r.wmax ~expect_tam_width:r.tam_width r.constraints)
+    best.Optimizer.schedule;
   let status =
-    if !evaluated < List.length points then begin
+    if !evaluated < grid_size then begin
       Obs.instant ~cat:"engine" "engine.deadline"
         ~args:
           [
             ("evaluated", string_of_int !evaluated);
-            ("grid", string_of_int (List.length points));
+            ("grid", string_of_int grid_size);
           ];
       Deadline
     end
     else Complete
   in
   {
-    result = Option.get !best;
+    result = best;
     status;
     evaluations = !evaluated;
     stats =

@@ -120,8 +120,9 @@ type status =
 
 type outcome = {
   result : Optimizer.result;
-      (** best over the evaluated grid points — ties kept by enumeration
-          order, exactly as {!Optimizer.best_over_params} *)
+      (** best over the evaluated grid points, as
+          {!Optimizer.best_over_params} picks it (ties kept by
+          enumeration order) *)
   status : status;
   evaluations : int;  (** grid points evaluated (computed or cached) *)
   stats : stats;
@@ -130,7 +131,8 @@ type outcome = {
 (** {1 Solving} *)
 
 val solve : t -> request -> outcome
-(** Evaluate the request's grid through the cache, best result wins.
+(** Search the request's grid with {!Optimizer.best_over_params}, every
+    evaluation going through the cache; best result wins.
     At least one grid point is always evaluated, so even an
     already-expired budget yields a valid schedule (status
     [Deadline]). When auditing is enabled
@@ -175,10 +177,10 @@ val audit_spec :
 
 val evaluator : t -> Optimizer.evaluator
 (** A caching drop-in for {!Optimizer.run_request}: pass it as the
-    [?eval] of {!Soctest_core.Anneal.search},
-    {!Soctest_core.Improve.polish} or the portfolio strategy builders to
-    dedup their evaluations through this engine. Results are identical
-    to the uncached evaluator's. *)
+    [?eval] of {!Optimizer.best_over_params},
+    {!Soctest_core.Anneal.search}, {!Soctest_core.Improve.polish} or the
+    portfolio strategy builders to dedup their evaluations through this
+    engine. Results are identical to the uncached evaluator's. *)
 
 (** {1 Introspection} *)
 

@@ -1,7 +1,7 @@
 module Soc_def = Soctest_soc.Soc_def
 module Core_def = Soctest_soc.Core_def
 module O = Soctest_core.Optimizer
-module Exact = Soctest_baselines.Exact
+module Bnb = Soctest_pack.Bnb
 module Constraint_def = Soctest_constraints.Constraint_def
 
 type row = {
@@ -31,41 +31,36 @@ let run ?soc ?(core_counts = [ 2; 3; 4; 5; 6 ]) ?(tam_width = 16)
   let soc =
     match soc with Some s -> s | None -> Soctest_soc.Benchmarks.d695 ()
   in
-  List.map
-    (fun n ->
-      let sub = prefix soc n in
-      let prepared = O.prepare sub in
-      let constraints = Constraint_def.unconstrained ~core_count:n in
-      let heuristic =
-        (O.best_over_params prepared ~tam_width ~constraints ())
-          .O.testing_time
-      in
-      let e =
-        Exact.solve ~node_limit ~upper_bound:(heuristic + 1) prepared
-          ~tam_width
-      in
-      {
-        cores = n;
-        tam_width;
-        heuristic;
-        exact = min heuristic e.Exact.testing_time;
-        optimal = e.Exact.optimal;
-        nodes = e.Exact.nodes;
-        gap_percent =
-          (let exact = min heuristic e.Exact.testing_time in
-           100.
-           *. float_of_int (heuristic - exact)
-           /. float_of_int exact);
-      })
-    core_counts
+  List.filter (fun n -> n <= Soc_def.core_count soc) core_counts
+  |> List.map (fun n ->
+         let prepared = O.prepare (prefix soc n) in
+         let constraints = Constraint_def.unconstrained ~core_count:n in
+         let heuristic =
+           (O.best_over_params prepared ~tam_width ~constraints ())
+             .O.testing_time
+         in
+         let e = Bnb.solve ~node_limit prepared ~tam_width ~constraints in
+         let exact = min heuristic e.Bnb.testing_time in
+         {
+           cores = n;
+           tam_width;
+           heuristic;
+           exact;
+           optimal = e.Bnb.optimal;
+           nodes = e.Bnb.nodes;
+           gap_percent =
+             100. *. float_of_int (heuristic - exact) /. float_of_int exact;
+         })
 
-let to_table rows =
+let to_table ~soc_name rows =
   let open Soctest_report in
   let table =
     Table.create
       ~title:
-        "Heuristic vs exact branch-and-bound (d695 prefixes): the exact \
-         method's cost explodes, the heuristic's gap stays small"
+        (Printf.sprintf
+           "Heuristic vs exact branch-and-bound (%s prefixes): the exact \
+            method's cost explodes, the heuristic's gap stays small"
+           soc_name)
       ~columns:
         [
           ("cores", Table.Right);

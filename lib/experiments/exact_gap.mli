@@ -3,8 +3,9 @@
     intractable", its compute time exponential — while the heuristic runs
     in milliseconds and stays close to optimal).
 
-    We scale the number of cores on d695 prefixes: branch-and-bound node
-    counts explode, the heuristic's optimality gap stays small. *)
+    We scale the number of cores on SOC prefixes (d695 by default): the
+    branch-and-bound ({!Soctest_pack.Bnb}) node counts explode, the
+    heuristic's optimality gap stays small. *)
 
 type row = {
   cores : int;
@@ -16,6 +17,12 @@ type row = {
   gap_percent : float;  (** (heuristic - exact) / exact * 100 *)
 }
 
+val prefix : Soctest_soc.Soc_def.t -> int -> Soctest_soc.Soc_def.t
+(** [prefix soc n] is the SOC of [soc]'s first [n] cores, named
+    ["<name>_<n>"], with BIST engines dropped (and power reset to the
+    default), so no exclusion survives: under an unconstrained set the
+    exact search is the paper's pure Problem 1. *)
+
 val run :
   ?soc:Soctest_soc.Soc_def.t ->
   ?core_counts:int list ->
@@ -23,6 +30,7 @@ val run :
   ?node_limit:int ->
   unit ->
   row list
-(** Defaults: d695 prefixes of 2..6 cores at W = 16, 3 M nodes. *)
+(** Defaults: d695 prefixes of 2..6 cores at W = 16, 3 M nodes. Core
+    counts above the SOC's own are skipped. *)
 
-val to_table : row list -> string
+val to_table : soc_name:string -> row list -> string

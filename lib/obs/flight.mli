@@ -19,9 +19,9 @@ type record = {
   status : int;  (** HTTP status of the response *)
   total_ms : float;  (** end-to-end, admission to response written *)
   phases : (string * float) list;
-      (** ordered [(phase, ms)] decomposition of [total_ms]: queue,
-          prep, cache_probe, disk_audit, solve, audit, render — only
-          phases that occurred are present *)
+      (** ordered [(phase, ms)] decomposition of [total_ms]: decode,
+          queue, prep, cache_probe, disk_audit, solve, audit, render,
+          handoff, write — only phases that occurred are present *)
   tier : string;
       (** which tier answered: ["memory"], ["store"], ["solve"], or
           ["-"] for requests that never reached the engine *)

@@ -64,8 +64,8 @@ let solve ?(budget = Budget.unlimited) ?(node_limit = 2_000_000) prepared
   let nodes = ref 0 in
   let unstarted = Array.make n true in
   let rec search t min_id placed =
+    if !nodes >= node_limit then raise Out_of_budget;
     incr nodes;
-    if !nodes > node_limit then raise Out_of_budget;
     if !nodes land 255 = 0 then begin
       Obs.add nodes_counter 256;
       if Budget.exhausted budget then raise Out_of_budget

@@ -29,7 +29,7 @@ type outcome = {
   testing_time : int;
   optimal : bool;
       (** search exhausted within budget and preemption is forbidden *)
-  nodes : int;  (** decision nodes expanded *)
+  nodes : int;  (** decision nodes expanded, at most [node_limit] *)
   lower_bound : int;  (** {!Soctest_core.Lower_bound.compute_constrained} *)
 }
 

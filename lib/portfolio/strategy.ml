@@ -16,7 +16,6 @@ type kind =
   | Anneal
   | Polish
   | Baseline
-  | Exact
   | Rectpack
   | Rectpack_diag
   | Exact_bnb
@@ -26,13 +25,12 @@ let kind_name = function
   | Anneal -> "anneal"
   | Polish -> "polish"
   | Baseline -> "baseline"
-  | Exact -> "exact"
   | Rectpack -> "rectpack"
   | Rectpack_diag -> "rectpack-diagonal"
   | Exact_bnb -> "exact-bnb"
 
 let all_kinds =
-  [ Grid; Anneal; Polish; Baseline; Exact; Rectpack; Rectpack_diag; Exact_bnb ]
+  [ Grid; Anneal; Polish; Baseline; Rectpack; Rectpack_diag; Exact_bnb ]
 
 let kind_of_string s =
   List.find_opt (fun k -> kind_name k = s) all_kinds
@@ -54,7 +52,7 @@ let widths_of_schedule sched =
       Option.map (fun w -> (core, w)) (Schedule.width_of_core sched core))
     (Schedule.cores sched)
 
-(* Baseline/exact solvers schedule without looking at the constraint set;
+(* Baseline solvers schedule without looking at the constraint set;
    only constraint-clean schedules may enter the race. *)
 let checked_solution prepared ~constraints sched =
   let soc = O.soc_of prepared in
@@ -173,29 +171,6 @@ let baselines ?(max_buses = 3) prepared ~tam_width ~constraints =
           .Soctest_baselines.Fixed_width.schedule);
   ]
 
-let exact ?(max_cores = 6) ?(node_limit = 2_000_000) prepared ~tam_width
-    ~constraints =
-  let soc = O.soc_of prepared in
-  if Soctest_soc.Soc_def.core_count soc > max_cores then []
-  else
-    [
-      {
-        name = "exact";
-        kind = Exact;
-        run =
-          (fun () ->
-            let o =
-              Soctest_baselines.Exact.solve ~node_limit prepared ~tam_width
-            in
-            {
-              solution =
-                checked_solution prepared ~constraints
-                  o.Soctest_baselines.Exact.schedule;
-              iterations = o.Soctest_baselines.Exact.nodes;
-            });
-      };
-    ]
-
 (* The rectangle-bin-packing family (arXiv 1008.4448 / 1008.4446):
    constraint-aware by construction, yet [checked_solution] re-validates
    like every non-optimizer producer — packers delay starts around
@@ -224,9 +199,8 @@ let rectpack prepared ~tam_width ~constraints =
       (Soctest_pack.Rectpack.Diagonal, Rectpack_diag);
     ]
 
-(* Constraint-aware B&B: a wider gate than the constraint-blind [exact]
-   (12 vs 6 cores) because its admissibility pruning and seeded
-   incumbent cut the tree much harder. *)
+(* Constraint-aware B&B, gated to small SOCs: its admissibility pruning
+   and seeded incumbent keep the tree tractable up to about 12 cores. *)
 let exact_bnb ?(max_cores = 12) ?node_limit ?budget prepared ~tam_width
     ~constraints =
   let soc = O.soc_of prepared in
@@ -275,8 +249,8 @@ let audited ?pareto prepared ~tam_width ~constraints (s : t) =
           outcome);
     }
 
-let default ?(kinds = all_kinds) ?restarts ?anneal_iterations
-    ?exact_max_cores ?budget ?eval ?pareto prepared ~tam_width ~constraints =
+let default ?(kinds = all_kinds) ?restarts ?anneal_iterations ?budget ?eval
+    ?pareto prepared ~tam_width ~constraints =
   let has k = List.mem k kinds in
   List.concat
     [
@@ -290,17 +264,13 @@ let default ?(kinds = all_kinds) ?restarts ?anneal_iterations
        else []);
       (if has Baseline then baselines prepared ~tam_width ~constraints
        else []);
-      (if has Exact then
-         exact ?max_cores:exact_max_cores prepared ~tam_width ~constraints
-       else []);
       (if has Rectpack || has Rectpack_diag then
          List.filter
            (fun s -> has s.kind)
            (rectpack prepared ~tam_width ~constraints)
        else []);
       (if has Exact_bnb then
-         exact_bnb ?max_cores:exact_max_cores ?budget prepared ~tam_width
-           ~constraints
+         exact_bnb ?budget prepared ~tam_width ~constraints
        else []);
     ]
   |> List.map (audited ?pareto prepared ~tam_width ~constraints)

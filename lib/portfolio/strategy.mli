@@ -2,8 +2,9 @@
     can race them: each strategy is a named, deterministic thunk that
     yields a complete, constraint-checked schedule.
 
-    Strategies built from the baselines (and the exact solver) ignore
-    scheduling constraints by construction, so their schedules are
+    Strategies built from the baselines ignore scheduling constraints by
+    construction, so their schedules (and, as a proof rather than an
+    assumption, those of the packers and the branch-and-bound) are
     re-validated with {!Soctest_constraints.Conflict.validate} against
     the constraints the portfolio was asked to honour; a violating
     schedule raises {!Rejected} (the portfolio reports it as failed and
@@ -27,14 +28,13 @@ type kind =
   | Anneal
   | Polish
   | Baseline
-  | Exact
   | Rectpack  (** plain rectangle bin packing, arXiv 1008.4448 *)
   | Rectpack_diag  (** diagonal-length-ordered variant, arXiv 1008.4446 *)
   | Exact_bnb  (** constraint-aware branch-and-bound, {!Soctest_pack.Bnb} *)
 
 val kind_name : kind -> string
-(** ["grid"], ["anneal"], ["polish"], ["baseline"], ["exact"],
-    ["rectpack"], ["rectpack-diagonal"], ["exact-bnb"]. *)
+(** ["grid"], ["anneal"], ["polish"], ["baseline"], ["rectpack"],
+    ["rectpack-diagonal"], ["exact-bnb"]. *)
 
 val kind_of_string : string -> kind option
 (** Inverse of {!kind_name}; [None] for unknown names. *)
@@ -49,7 +49,8 @@ type t = {
 }
 
 exception Rejected of string
-(** A baseline/exact schedule violated the requested constraints. *)
+(** A baseline, packer or branch-and-bound schedule violated the
+    requested constraints. *)
 
 val grid :
   ?percents:int list ->
@@ -102,18 +103,6 @@ val baselines :
 (** Serial, NFDH/FFDH shelf and best fixed-width-bus designs, each
     constraint-revalidated (see {!Rejected}). [max_buses] defaults to 3. *)
 
-val exact :
-  ?max_cores:int ->
-  ?node_limit:int ->
-  Soctest_core.Optimizer.prepared ->
-  tam_width:int ->
-  constraints:Soctest_constraints.Constraint_def.t ->
-  t list
-(** The branch-and-bound reference, gated behind a core-count budget:
-    empty unless the SOC has at most [max_cores] (default 6) cores,
-    since B&B time grows exponentially with core count. [node_limit]
-    defaults to the solver's 2 million. Constraint-revalidated. *)
-
 val rectpack :
   Soctest_core.Optimizer.prepared ->
   tam_width:int ->
@@ -133,12 +122,12 @@ val exact_bnb :
   tam_width:int ->
   constraints:Soctest_constraints.Constraint_def.t ->
   t list
-(** The constraint-aware branch-and-bound ({!Soctest_pack.Bnb}), gated
-    behind a core-count budget like {!exact} but wider ([max_cores]
-    defaults to 12): its admissibility pruning and heuristic-seeded
-    incumbent keep the tree tractable where the constraint-blind solver
-    cannot. [budget] is polled cooperatively; on expiry the strategy
-    returns its best incumbent rather than failing. *)
+(** The repo's one exact solver, the constraint-aware branch-and-bound
+    ({!Soctest_pack.Bnb}), gated behind a core-count budget: empty unless
+    the SOC has at most [max_cores] (default 12) cores, since B&B time
+    grows exponentially with core count. [node_limit] defaults to the
+    solver's 2 million. [budget] is polled cooperatively; on expiry the
+    strategy returns its best incumbent rather than failing. *)
 
 val audited :
   ?pareto:(Soctest_soc.Core_def.t -> Soctest_wrapper.Pareto.t) ->
@@ -161,7 +150,6 @@ val default :
   ?kinds:kind list ->
   ?restarts:int ->
   ?anneal_iterations:int ->
-  ?exact_max_cores:int ->
   ?budget:Soctest_core.Budget.t ->
   ?eval:Soctest_core.Optimizer.evaluator ->
   ?pareto:(Soctest_soc.Core_def.t -> Soctest_wrapper.Pareto.t) ->
@@ -170,10 +158,8 @@ val default :
   constraints:Soctest_constraints.Constraint_def.t ->
   t list
 (** The full portfolio in registration order — grid, anneal restarts,
-    polish, baselines, exact, rectpack, rectpack-diagonal, exact-bnb —
+    polish, baselines, rectpack, rectpack-diagonal, exact-bnb —
     optionally restricted to [kinds]. [budget]/[eval] reach the
     optimizer-backed strategies (grid, anneal, polish) and [budget] also
-    the B&B; baselines and the constraint-blind exact ignore them.
-    [exact_max_cores] gates both exact solvers when given (their
-    defaults differ: 6 for [exact], 12 for [exact_bnb]). [pareto] feeds
-    the {!audited} wrapper's staircase lookups (see there). *)
+    the B&B; the baselines and packers ignore them. [pareto] feeds the
+    {!audited} wrapper's staircase lookups (see there). *)

@@ -647,11 +647,12 @@ let run_admitted t ctx run =
 
 (* One-shot synchronization cell between the connection thread (which
    owns the socket and must write responses in pipeline order) and the
-   worker domain that computes the reply. *)
+   worker domain that computes the reply. The reply travels with the
+   monotonic instant it was put, so the taker can time the hand-off. *)
 type reply_cell = {
   cell_lock : Mutex.t;
   cell_cond : Condition.t;
-  mutable cell : reply option;
+  mutable cell : (reply * float) option;
 }
 
 let cell () =
@@ -659,17 +660,20 @@ let cell () =
 
 let put_cell c reply =
   Mutex.lock c.cell_lock;
-  c.cell <- Some reply;
+  c.cell <- Some (reply, Clock.now_ms ());
   Condition.signal c.cell_cond;
   Mutex.unlock c.cell_lock
 
-let take_cell c =
+(* Blocks for the reply; books the wait from its [put_cell] to this
+   thread's wake-up as the request's [handoff] phase. *)
+let take_cell ctx c =
   Mutex.lock c.cell_lock;
   while c.cell = None do
     Condition.wait c.cell_cond c.cell_lock
   done;
-  let r = match c.cell with Some r -> r | None -> assert false in
+  let r, put_at = match c.cell with Some p -> p | None -> assert false in
   Mutex.unlock c.cell_lock;
+  add_phase ctx "handoff" (Float.max 0. (Clock.now_ms () -. put_at));
   r
 
 (* Absolute EDF key for the dispatch queue: a budgeted request's
@@ -707,7 +711,7 @@ let admit_sync t conn ctx ~close ?budget_ms run =
       Fun.protect
         ~finally:(fun () -> release_slot t)
         (fun () ->
-          let reply = take_cell c in
+          let reply = take_cell ctx c in
           Obs.incr completed_c;
           complete t ctx conn ~close reply)
     | exception Invalid_argument _ ->

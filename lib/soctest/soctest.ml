@@ -25,12 +25,13 @@
       audited responses
 
     {2 Baselines}
-    - {!Serial}, {!Session}, {!Shelf}, {!Fixed_width}, {!Exact}
+    - {!Serial}, {!Session}, {!Shelf}, {!Fixed_width}
 
     {2 Rectangle bin packing}
     - {!Pack_model}, {!Pack_skyline} — rectangle menus and the skyline
     - {!Rectpack} (arXiv 1008.4448 / 1008.4446), {!Bnb} — the packing
-      strategy family and the constraint-aware exact solver
+      strategy family and the one exact solver (constraint-aware
+      branch-and-bound)
 
     {2 Parallel portfolio}
     - {!Pool}, {!Strategy}, {!Portfolio}, {!Telemetry}
@@ -97,7 +98,6 @@ module Serial = Soctest_baselines.Serial
 module Session = Soctest_baselines.Session
 module Shelf = Soctest_baselines.Shelf
 module Fixed_width = Soctest_baselines.Fixed_width
-module Exact = Soctest_baselines.Exact
 
 module Pack_model = Soctest_pack.Model
 module Pack_skyline = Soctest_pack.Skyline

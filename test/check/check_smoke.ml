@@ -76,7 +76,7 @@ let flow_scenarios () =
     [ 4; 6; 12 ]
 
 (* Baselines and the exact branch-and-bound — once on mini4 under its
-   own exclusions (constraint-blind strategies may be rejected: mini4's
+   own exclusions (constraint-blind baselines may be rejected: mini4's
    shared BIST engine excludes cores 2 and 3 regardless of the
    constraint set) and once on a BIST- and hierarchy-free synthesized
    SOC so every family produces a schedule that actually reaches the
@@ -87,8 +87,8 @@ let strategy_scenarios ~variant soc constraints =
   let prepared = O.prepare ~wmax soc in
   let strategies =
     Strategy.baselines prepared ~tam_width ~constraints
-    @ Strategy.exact ~max_cores:4 ~node_limit:100_000 prepared ~tam_width
-        ~constraints
+    @ Strategy.exact_bnb ~max_cores:4 ~node_limit:100_000 prepared
+        ~tam_width ~constraints
   in
   List.iter
     (fun (s : Strategy.t) ->

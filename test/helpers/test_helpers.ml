@@ -107,6 +107,72 @@ let reference_staircase core ~wmax =
   Array.init wmax (fun k ->
       Soctest_wrapper.Wrapper_design.testing_time core ~width:(k + 1))
 
+(* The constraint-blind exact optimum the slow way: the chronological,
+   left-justified branch-and-bound of Pack.Bnb without its
+   admissibility check, heuristic seed or lower-bound stop. Some optimal
+   non-preemptive schedule starts every test at 0 or at a finish, so the
+   search is exact; cores starting at one instant go in ascending id
+   order. On a BIST- and hierarchy-free SOC under no constraints both
+   searches cover the same schedules and must find the same makespan.
+   No node limit: for SOCs of a handful of cores. *)
+let reference_exact prepared ~tam_width =
+  let module Pareto = Soctest_wrapper.Pareto in
+  let n = Soc_def.core_count (Optimizer.soc_of prepared) in
+  let pareto k = Optimizer.pareto_of prepared (k + 1) in
+  let menus =
+    Array.init n (fun k ->
+        Pareto.rectangles (pareto k)
+        |> List.filter (fun (w, _) -> w <= tam_width)
+        |> List.sort (fun (a, _) (b, _) -> compare b a))
+  in
+  let min_area = Array.init n (fun k -> Pareto.min_area (pareto k)) in
+  let min_time =
+    Array.init n (fun k -> Pareto.time (pareto k) ~width:tam_width)
+  in
+  let unstarted = Array.make n true in
+  let best = ref max_int in
+  (* [placed]: (finish, width) of every started test *)
+  let rec search t min_id placed =
+    let running = List.filter (fun (f, _) -> f > t) placed in
+    let used = List.fold_left (fun a (_, w) -> a + w) 0 running in
+    let makespan = List.fold_left (fun a (f, _) -> max a f) 0 placed in
+    let area =
+      ref (List.fold_left (fun a (f, w) -> a + ((f - t) * w)) 0 running)
+    in
+    let slowest = ref 0 in
+    Array.iteri
+      (fun k u ->
+        if u then begin
+          area := !area + min_area.(k);
+          slowest := max !slowest min_time.(k)
+        end)
+      unstarted;
+    let lower =
+      max makespan
+        (max (t + ((!area + tam_width - 1) / tam_width)) (t + !slowest))
+    in
+    if lower < !best then
+      if Array.for_all not unstarted then best := makespan
+      else begin
+        for k = min_id to n - 1 do
+          if unstarted.(k) then
+            List.iter
+              (fun (w, time) ->
+                if w <= tam_width - used then begin
+                  unstarted.(k) <- false;
+                  search t (k + 1) ((t + time, w) :: placed);
+                  unstarted.(k) <- true
+                end)
+              menus.(k)
+        done;
+        match List.map fst running with
+        | [] -> ()
+        | f :: fs -> search (List.fold_left min f fs) 0 placed
+      end
+  in
+  search 0 0 [];
+  !best
+
 (* ---------------- assertions ---------------- *)
 
 let check_valid_schedule ?(msg = "schedule valid") soc constraints sched =

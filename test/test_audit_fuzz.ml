@@ -17,6 +17,7 @@ module O = Soctest_core.Optimizer
 module Lower_bound = Soctest_core.Lower_bound
 module Strategy = Soctest_portfolio.Strategy
 module Schedule = Soctest_tam.Schedule
+module Bnb = Soctest_pack.Bnb
 
 let cases = 220
 
@@ -26,9 +27,6 @@ type drawn = {
   tam_width : int;
   wmax : int;
   constraints : Constraint_def.t;
-  unconstrained : bool;
-      (* no precedence/power/preemption AND no derived exclusions: the
-         exact solver's optimum must then dominate every heuristic *)
 }
 
 let draw case =
@@ -68,10 +66,7 @@ let draw case =
           (List.init (Soc_def.core_count soc) (fun k -> (k + 1, 2)))
         ()
   in
-  let unconstrained =
-    variant = 0 && hierarchy_pairs = 0 && bist_engines = 0
-  in
-  { case; soc; tam_width; wmax; constraints; unconstrained }
+  { case; soc; tam_width; wmax; constraints }
 
 (* The reduced strategy set: every family, sized for thousands of runs. *)
 let strategies d prepared =
@@ -87,7 +82,7 @@ let strategies d prepared =
       ];
       Strategy.baselines prepared ~tam_width:d.tam_width
         ~constraints:d.constraints;
-      Strategy.exact ~max_cores:4 ~node_limit:20_000 prepared
+      Strategy.exact_bnb ~max_cores:4 ~node_limit:20_000 prepared
         ~tam_width:d.tam_width ~constraints:d.constraints;
     ]
 
@@ -112,8 +107,8 @@ let test_fuzz () =
           match s.Strategy.run () with
           | outcome -> Some (s, outcome)
           | exception Strategy.Rejected _ ->
-            (* baselines/exact schedule constraint-blind; a rejected
-               schedule never reaches the race, so nothing to audit *)
+            (* baselines schedule constraint-blind; a rejected schedule
+               never reaches the race, so nothing to audit *)
             incr rejected;
             None
           | exception O.Infeasible _ ->
@@ -146,16 +141,16 @@ let test_fuzz () =
              s.Strategy.name)
           (Schedule.makespan sched) span)
       outcomes;
-    (* cross-check strategies against each other: on truly
-       unconstrained instances the exact optimum dominates everything *)
+    (* cross-check strategies against each other: wherever the B&B
+       proves its optimum under the case's own constraints, that optimum
+       dominates every legal schedule *)
     (match
-       List.find_opt
-         (fun ((s : Strategy.t), _) -> s.Strategy.kind = Strategy.Exact)
-         outcomes
+       Bnb.solve ~node_limit:20_000 prepared ~tam_width:d.tam_width
+         ~constraints:d.constraints
      with
-    | Some (_, exact) when d.unconstrained ->
+    | exact when exact.Bnb.optimal ->
       incr exact_checked;
-      let opt = exact.Strategy.solution.Strategy.testing_time in
+      let opt = exact.Bnb.testing_time in
       List.iter
         (fun ((s : Strategy.t), (o : Strategy.outcome)) ->
           Alcotest.(check bool)
@@ -164,7 +159,7 @@ let test_fuzz () =
             true
             (opt <= o.Strategy.solution.Strategy.testing_time))
         outcomes
-    | _ -> ())
+    | _ | (exception O.Infeasible _) -> ())
   done;
   Alcotest.(check bool)
     (Printf.sprintf "audited %d SOCs (>= 200)" !socs_audited)

@@ -22,7 +22,18 @@ let test_exact_gap () =
       Alcotest.(check bool) "nodes counted" true (r.EG.nodes > 0))
     rows;
   Alcotest.(check bool) "renders" true
-    (String.length (EG.to_table rows) > 0)
+    (contains (EG.to_table ~soc_name:"d695" rows) "d695 prefixes")
+
+(* Core counts past the SOC's own are skipped, not truncated into a
+   prefix that disagrees with its constraint set. *)
+let test_exact_gap_small_soc () =
+  let rows =
+    EG.run ~soc:(Test_helpers.mini4 ()) ~tam_width:8 ~node_limit:200_000 ()
+  in
+  Alcotest.(check (list int)) "rows for 2..4 cores" [ 2; 3; 4 ]
+    (List.map (fun r -> r.EG.cores) rows);
+  Alcotest.(check bool) "title names the SOC" true
+    (contains (EG.to_table ~soc_name:"mini4" rows) "mini4 prefixes")
 
 let test_exact_gap_node_growth () =
   let rows =
@@ -99,6 +110,7 @@ let () =
         [
           Alcotest.test_case "rows" `Quick test_exact_gap;
           Alcotest.test_case "node growth" `Quick test_exact_gap_node_growth;
+          Alcotest.test_case "small SOC" `Quick test_exact_gap_small_soc;
         ] );
       ( "tester",
         [

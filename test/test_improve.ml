@@ -81,6 +81,27 @@ let test_polish_improves_somewhere () =
     true
     (report.I.result.O.testing_time < report.I.initial_time)
 
+(* [eval] reaches both halves: every grid point and every polish re-run
+   goes through it, and routing them changes nothing. *)
+let test_best_with_polish_eval () =
+  let prepared = Lazy.force prepared in
+  let constraints = Lazy.force constraints in
+  let calls = ref 0 in
+  let eval ?overrides prepared req =
+    incr calls;
+    O.run_request ?overrides prepared req
+  in
+  let report =
+    I.best_with_polish ~eval prepared ~tam_width:32 ~constraints ()
+  in
+  let grid = List.length (O.grid_points ~wmax:(O.wmax_of prepared) ()) in
+  Alcotest.(check int) "grid points + polish re-runs"
+    (grid + report.I.evaluations) !calls;
+  Alcotest.(check int) "same result as the direct evaluator"
+    (I.best_with_polish prepared ~tam_width:32 ~constraints ())
+      .I.result.O.testing_time
+    report.I.result.O.testing_time
+
 let test_polish_respects_constraints () =
   let soc = Test_helpers.mini4 () in
   let prepared = O.prepare soc in
@@ -151,6 +172,8 @@ let () =
           Alcotest.test_case "never worse" `Quick test_polish_never_worse;
           Alcotest.test_case "improves somewhere" `Quick
             test_polish_improves_somewhere;
+          Alcotest.test_case "eval reaches the grid" `Quick
+            test_best_with_polish_eval;
           Alcotest.test_case "respects constraints" `Quick
             test_polish_respects_constraints;
           Alcotest.test_case "deterministic" `Quick

@@ -220,8 +220,9 @@ let test_bnb_optimal_mini4 () =
   (* NB: even the unconstrained set is not constraint-blind — mini4's
      cores 2 and 3 share BIST engine 1, and [Conflict.admissible]
      enforces BIST exclusion from the SOC itself. So the B&B optimum
-     here (288) is legitimately above [Baselines.Exact]'s 270, which
-     overlaps the two BIST cores. *)
+     here (288) is legitimately above the constraint-blind optimum
+     (270, [Test_helpers.reference_exact]), which overlaps the two BIST
+     cores. *)
   let constraints = Constraint_def.unconstrained ~core_count:4 in
   let o = Bnb.solve prepared ~tam_width ~constraints in
   Alcotest.(check bool) "proved optimal" true o.Bnb.optimal;
@@ -237,28 +238,25 @@ let test_bnb_optimal_mini4 () =
     Alcotest.failf "bnb audit: %a" Audit.pp_report report
 
 (* On a BIST-free, hierarchy-free SOC the unconstrained B&B and the
-   constraint-blind exact baseline search the same space and must agree
-   on the optimum. *)
-let test_bnb_matches_blind_exact () =
-  let soc =
-    Soc_def.make ~name:"flat4"
-      ~cores:
-        [
-          Test_helpers.core 1 "a";
-          Test_helpers.core ~scan:[ 16 ] ~patterns:10 2 "b";
-          Test_helpers.core ~scan:[ 6; 6; 6 ] ~patterns:30 3 "c";
-          Test_helpers.core ~inputs:4 ~outputs:4 ~scan:[ 24 ] ~patterns:8 4
-            "d";
-        ]
-      ()
-  in
-  let prepared = O.prepare ~wmax:16 soc in
-  let constraints = Constraint_def.unconstrained ~core_count:4 in
-  let o = Bnb.solve prepared ~tam_width:8 ~constraints in
-  Alcotest.(check bool) "proved optimal" true o.Bnb.optimal;
-  let blind = Soctest_baselines.Exact.solve prepared ~tam_width:8 in
-  Alcotest.(check int) "matches constraint-blind exact"
-    blind.Soctest_baselines.Exact.testing_time o.Bnb.testing_time
+   constraint-blind reference search the same space and must agree on
+   the optimum. *)
+let prop_bnb_matches_blind_exact =
+  Test_helpers.qtest "matches blind exact" ~count:100
+    (QCheck.make
+       ~print:(fun (soc, w) -> Format.asprintf "%a@.W=%d" Soc_def.pp soc w)
+       QCheck.Gen.(
+         let* n = int_range 1 4 in
+         let* cores =
+           flatten_l (List.init n (fun k -> Test_helpers.gen_core (k + 1)))
+         in
+         let* w = int_range 2 16 in
+         return (Soc_def.make ~name:"flat" ~cores (), w)))
+    (fun (soc, tam_width) ->
+      let prepared = O.prepare ~wmax:16 soc in
+      let constraints = Test_helpers.unconstrained soc in
+      let o = Bnb.solve prepared ~tam_width ~constraints in
+      o.Bnb.optimal
+      && o.Bnb.testing_time = Test_helpers.reference_exact prepared ~tam_width)
 
 let test_bnb_constrained () =
   let soc = mini4 () in
@@ -285,6 +283,7 @@ let test_bnb_budget_degrades () =
      back as a valid, heuristic-quality schedule *)
   let o = Bnb.solve ~node_limit:1 prepared ~tam_width:8 ~constraints in
   Alcotest.(check bool) "not proved optimal" false o.Bnb.optimal;
+  Alcotest.(check int) "nodes stop at the limit" 1 o.Bnb.nodes;
   Test_helpers.check_valid_schedule soc constraints o.Bnb.schedule;
   let r = O.run prepared ~tam_width:8 ~constraints ~params:O.default_params in
   Alcotest.(check int) "falls back to the heuristic" r.O.testing_time
@@ -318,8 +317,7 @@ let () =
         [
           Alcotest.test_case "optimal on mini4" `Quick
             test_bnb_optimal_mini4;
-          Alcotest.test_case "matches blind exact" `Quick
-            test_bnb_matches_blind_exact;
+          prop_bnb_matches_blind_exact;
           Alcotest.test_case "constrained" `Quick test_bnb_constrained;
           Alcotest.test_case "budget degrades" `Quick
             test_bnb_budget_degrades;

@@ -183,14 +183,17 @@ let test_zero_deadline_skips_everything () =
            [ fake_strategy "a" 10; fake_strategy "b" 20 ]))
 
 let test_exact_gating () =
-  let prepared = Lazy.force prep_d695 in
-  let constraints = unconstrained (Lazy.force d695) in
-  Alcotest.(check int) "exact gated out on 10 cores" 0
-    (List.length (Strategy.exact prepared ~tam_width:16 ~constraints));
+  let big = Soctest_soc.Benchmarks.p22810 () in
+  Alcotest.(check int) "exact-bnb gated out above 12 cores" 0
+    (List.length
+       (Strategy.exact_bnb (O.prepare big) ~tam_width:16
+          ~constraints:(unconstrained big)));
   let mini_prep = Lazy.force prep_mini4 in
   let mini_constraints = unconstrained (Lazy.force mini4) in
-  Alcotest.(check int) "exact allowed on 4 cores" 1
-    (List.length (Strategy.exact mini_prep ~tam_width:16 ~constraints:mini_constraints))
+  Alcotest.(check int) "exact-bnb allowed on 4 cores" 1
+    (List.length
+       (Strategy.exact_bnb mini_prep ~tam_width:16
+          ~constraints:mini_constraints))
 
 let test_telemetry_outputs () =
   let r =
