@@ -274,10 +274,44 @@ let engine_benches =
       (Staged.stage (fun () -> ignore (Engine.solve_many warm (reqs ()))));
   ]
 
+let check_benches =
+  (* the audit kernel on the Table-1 grid winner (staircases looked up in
+     the prepared SOC, as the engine's audits do), and a store hit's
+     load path: a fresh engine over a store seeded with every grid point
+     of a d695 W=32 solve reads each back, decodes it, audits each
+     distinct schedule once and cross-checks every entry *)
+  let module Audit = Soctest_check.Audit in
+  let module Store = Soctest_store.Store in
+  let winner =
+    O.best_over_params prep_p93791 ~tam_width:32
+      ~constraints:(unconstrained p93791) ()
+  in
+  let spec =
+    Engine.audit_spec (Engine.create ()) ~prepared:prep_p93791 ~wmax:64
+      ~expect_tam_width:32 (unconstrained p93791)
+  in
+  let path = Filename.temp_file "soctest-bench" ".store" in
+  Sys.remove path;
+  at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
+  let store = Store.open_ path in
+  let grid_req =
+    Engine.request d695 ~tam_width:32 ~constraints:(unconstrained d695)
+      ~grid:Engine.default_grid ()
+  in
+  ignore (Engine.solve (Engine.create ~store ()) grid_req);
+  [
+    Test.make ~name:"check/audit_p93791_w32"
+      (Staged.stage (fun () ->
+           ignore (Audit.run p93791 spec winner.O.schedule)));
+    Test.make ~name:"check/store_validate_d695_w32"
+      (Staged.stage (fun () ->
+           ignore (Engine.solve (Engine.create ~store ()) grid_req)));
+  ]
+
 let all_tests =
   table1_benches @ table2_benches @ figure_benches @ baseline_benches
   @ substrate_benches @ ablation_benches @ extension_benches
-  @ portfolio_benches @ engine_benches
+  @ portfolio_benches @ engine_benches @ check_benches
 
 let benchmark () =
   let ols =

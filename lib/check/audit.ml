@@ -129,34 +129,40 @@ let run soc spec sched =
   if spec.constraints.Constraint_def.core_count <> n then
     invalid_arg "Audit.run: constraints sized for a different SOC";
   let acc = { found = []; ran = Check_set.empty } in
-  let slices = sched.Schedule.slices in
+  let slices = Array.of_list sched.Schedule.slices in
+  let m = Array.length slices in
   let tam_width = sched.Schedule.tam_width in
   (* every derived quantity below is recomputed here, from the slice
      list alone — nothing is taken from solver bookkeeping *)
   let makespan =
-    List.fold_left (fun m (s : Schedule.slice) -> max m s.Schedule.stop) 0
-      slices
+    Array.fold_left
+      (fun a (s : Schedule.slice) -> Int.max a s.Schedule.stop)
+      0 slices
   in
   let busy_area =
-    List.fold_left
+    Array.fold_left
       (fun a (s : Schedule.slice) ->
         a + (s.Schedule.width * (s.Schedule.stop - s.Schedule.start)))
       0 slices
   in
-  let scheduled_cores = Schedule.cores sched in
+  (* one grouping pass: every scheduled core's slices in start order,
+     cores ascending *)
+  let by_core = Schedule.index sched in
   let known c = c >= 1 && c <= n in
-  let known_cores = List.filter known scheduled_cores in
+  let known_cores = List.filter (fun (c, _) -> known c) by_core in
+  let unknown_cores =
+    List.filter_map (fun (c, _) -> if known c then None else Some c) by_core
+  in
 
   (* -- unknown-core: rogue ids are reported once and kept out of every
         check that dereferences the SOC -- *)
   ran acc Unknown_core;
   List.iter
     (fun c ->
-      if not (known c) then
-        fail acc Unknown_core
-          "slice refers to core %d; SOC %s defines cores 1..%d" c
-          soc.Soc_def.name n)
-    scheduled_cores;
+      fail acc Unknown_core
+        "slice refers to core %d; SOC %s defines cores 1..%d" c
+        soc.Soc_def.name n)
+    unknown_cores;
 
   (* -- tam-width: the schedule is for the TAM the caller asked for, and
         no single slice is wider than the whole TAM -- *)
@@ -165,7 +171,7 @@ let run soc spec sched =
   | Some w when w <> tam_width ->
     fail acc Tam_width "schedule built for W=%d, expected W=%d" tam_width w
   | _ -> ());
-  List.iter
+  Array.iter
     (fun (s : Schedule.slice) ->
       if s.Schedule.width > tam_width then
         fail acc Tam_width "core %d slice width %d exceeds the TAM (W=%d)"
@@ -175,105 +181,158 @@ let run soc spec sched =
   (* -- interval sweep: the schedule is piecewise constant between slice
         boundaries, so checking each boundary instant checks every
         instant. Capacity, core overlap, power, concurrency and BIST
-        exclusion all fall out of the same active sets. -- *)
-  let boundaries =
-    List.concat_map
-      (fun (s : Schedule.slice) -> [ s.Schedule.start; s.Schedule.stop ])
-      slices
-    |> List.sort_uniq compare
-  in
+        exclusion all fall out of one merge of the start-sorted slices
+        with their stop order: at each boundary every slice stopping
+        there leaves before any slice starting there joins, and the
+        used width, power and per-core active counts are kept
+        incrementally. Capacity and power are re-checked at every
+        boundary; an overlap or excluded pair can only begin where a
+        slice starts, so those are checked against the joiners. -- *)
   ran acc Capacity;
   ran acc Overlap;
   ran acc Power;
   ran acc Concurrency;
   ran acc Bist;
-  (* a long illegal overlap spans many boundaries: report each offending
-     pair (or core) once, at the first instant it is caught *)
-  let seen_overlap = Hashtbl.create 8 in
-  let seen_pair = Hashtbl.create 8 in
-  let shares_bist a b =
-    match
-      ( (Soc_def.core soc a).Core_def.bist_engine,
-        (Soc_def.core soc b).Core_def.bist_engine )
-    with
-    | Some ea, Some eb when ea = eb -> Some ea
-    | _ -> None
+  (* dense per-core slots: known core c at c-1, rogue ids after n in
+     ascending order, so slot order is core-id order *)
+  let rogue_slot = Hashtbl.create 8 in
+  List.iteri (fun k c -> Hashtbl.replace rogue_slot c (n + k)) unknown_cores;
+  let slot =
+    Array.map
+      (fun (s : Schedule.slice) ->
+        let c = s.Schedule.core in
+        if known c then c - 1 else Hashtbl.find rogue_slot c)
+      slices
   in
+  let core_of_slot k =
+    if k < n then k + 1 else List.nth unknown_cores (k - n)
+  in
+  let power =
+    Array.init n (fun k -> (Soc_def.core soc (k + 1)).Core_def.power)
+  in
+  let engine =
+    Array.init n (fun k -> (Soc_def.core soc (k + 1)).Core_def.bist_engine)
+  in
+  let shares_engine a b =
+    match (engine.(a), engine.(b)) with
+    | Some e, Some e' -> e = e'
+    | _ -> false
+  in
+  (* each core's concurrency-exclusion partners, by slot; memory stays
+     linear in the cores and the constraint set's pair list *)
+  let partners = Array.make n [] in
   List.iter
-    (fun time ->
-      let active =
-        List.filter
-          (fun (s : Schedule.slice) ->
-            s.Schedule.start <= time && time < s.Schedule.stop)
-          slices
-      in
-      let used =
-        List.fold_left (fun a (s : Schedule.slice) -> a + s.Schedule.width)
-          0 active
-      in
-      if used > tam_width then
-        fail acc Capacity "%d wires in use at t=%d (W=%d)" used time
-          tam_width;
-      (* per-core multiplicity in the active set *)
-      let by_core = Hashtbl.create 8 in
+    (fun (a, b) ->
+      partners.(a - 1) <- (b - 1) :: partners.(a - 1);
+      partners.(b - 1) <- (a - 1) :: partners.(b - 1))
+    spec.constraints.Constraint_def.concurrency;
+  let excluded a b = List.mem b partners.(a) in
+  let any_pair =
+    spec.constraints.Constraint_def.concurrency <> []
+    || Array.exists Option.is_some engine
+  in
+  (* a long illegal overlap is reported once, at the first instant the
+     pair is caught *)
+  let reported = Hashtbl.create 8 in
+  let slots = n + List.length unknown_cores in
+  let count = Array.make slots 0 in
+  let overlap_seen = Array.make slots false in
+  (* the known cores with at least one active slice, unordered *)
+  let active = Array.make n 0 and active_pos = Array.make n 0 in
+  let n_active = ref 0 in
+  let by_stop = Array.init m Fun.id in
+  Array.sort
+    (fun i j ->
+      Int.compare slices.(i).Schedule.stop slices.(j).Schedule.stop)
+    by_stop;
+  let next_start = ref 0 and next_stop = ref 0 in
+  let used = ref 0 and power_used = ref 0 in
+  while !next_stop < m do
+    let stop_time = slices.(by_stop.(!next_stop)).Schedule.stop in
+    let time =
+      if !next_start < m then
+        Int.min stop_time slices.(!next_start).Schedule.start
+      else stop_time
+    in
+    while
+      !next_stop < m && slices.(by_stop.(!next_stop)).Schedule.stop = time
+    do
+      let i = by_stop.(!next_stop) in
+      let k = slot.(i) in
+      used := !used - slices.(i).Schedule.width;
+      count.(k) <- count.(k) - 1;
+      if k < n then begin
+        power_used := !power_used - power.(k);
+        if count.(k) = 0 then begin
+          decr n_active;
+          let last = active.(!n_active) in
+          active.(active_pos.(k)) <- last;
+          active_pos.(last) <- active_pos.(k)
+        end
+      end;
+      incr next_stop
+    done;
+    let joined = ref [] and doubled = ref [] in
+    while !next_start < m && slices.(!next_start).Schedule.start = time do
+      let i = !next_start in
+      let k = slot.(i) in
+      used := !used + slices.(i).Schedule.width;
+      count.(k) <- count.(k) + 1;
+      if count.(k) = 2 then doubled := k :: !doubled;
+      if k < n then begin
+        power_used := !power_used + power.(k);
+        if count.(k) = 1 then begin
+          active.(!n_active) <- k;
+          active_pos.(k) <- !n_active;
+          incr n_active;
+          joined := k :: !joined
+        end
+      end;
+      incr next_start
+    done;
+    if !used > tam_width then
+      fail acc Capacity "%d wires in use at t=%d (W=%d)" !used time
+        tam_width;
+    List.iter
+      (fun k ->
+        if not overlap_seen.(k) then begin
+          overlap_seen.(k) <- true;
+          fail acc Overlap "core %d runs %d slices at once at t=%d"
+            (core_of_slot k) count.(k) time
+        end)
+      (List.sort Int.compare !doubled);
+    (match spec.constraints.Constraint_def.power_limit with
+    | Some limit when !power_used > limit ->
+      fail acc Power "power %d exceeds limit %d at t=%d" !power_used limit
+        time
+    | _ -> ());
+    if any_pair && !joined <> [] then begin
+      let found = ref [] in
       List.iter
-        (fun (s : Schedule.slice) ->
-          let c = s.Schedule.core in
-          let k = try Hashtbl.find by_core c with Not_found -> 0 in
-          Hashtbl.replace by_core c (k + 1))
-        active;
-      Hashtbl.iter
-        (fun c k ->
-          if k > 1 && not (Hashtbl.mem seen_overlap c) then begin
-            Hashtbl.add seen_overlap c ();
-            fail acc Overlap "core %d runs %d slices at once at t=%d" c k
-              time
-          end)
-        by_core;
-      (match spec.constraints.Constraint_def.power_limit with
-      | None -> ()
-      | Some limit ->
-        let power =
-          List.fold_left
-            (fun a (s : Schedule.slice) ->
-              if known s.Schedule.core then
-                a + (Soc_def.core soc s.Schedule.core).Core_def.power
-              else a)
-            0 active
-        in
-        if power > limit then
-          fail acc Power "power %d exceeds limit %d at t=%d" power limit
-            time);
-      let active_cores =
-        List.filter known (List.map (fun s -> s.Schedule.core) active)
-        |> List.sort_uniq compare
-      in
-      let rec pairs = function
-        | [] -> ()
-        | a :: rest ->
-          List.iter
-            (fun b ->
-              if
-                Constraint_def.excluded spec.constraints a b
-                && not (Hashtbl.mem seen_pair (`Conc, a, b))
-              then begin
-                Hashtbl.add seen_pair (`Conc, a, b) ();
-                fail acc Concurrency
-                  "excluded cores %d and %d overlap at t=%d" a b time
-              end;
-              match shares_bist a b with
-              | Some engine when not (Hashtbl.mem seen_pair (`Bist, a, b))
-                ->
-                Hashtbl.add seen_pair (`Bist, a, b) ();
-                fail acc Bist
-                  "cores %d and %d share BIST engine %d at t=%d" a b engine
-                  time
-              | _ -> ())
-            rest;
-          pairs rest
-      in
-      pairs active_cores)
-    boundaries;
+        (fun a ->
+          for j = 0 to !n_active - 1 do
+            let b = active.(j) in
+            if
+              a <> b
+              && (excluded a b || shares_engine a b)
+              && not (Hashtbl.mem reported (Int.min a b, Int.max a b))
+            then begin
+              Hashtbl.add reported (Int.min a b, Int.max a b) ();
+              found := (Int.min a b, Int.max a b) :: !found
+            end
+          done)
+        !joined;
+      List.iter
+        (fun (a, b) ->
+          if excluded a b then
+            fail acc Concurrency "excluded cores %d and %d overlap at t=%d"
+              (a + 1) (b + 1) time;
+          if shares_engine a b then
+            fail acc Bist "cores %d and %d share BIST engine %d at t=%d"
+              (a + 1) (b + 1) (Option.get engine.(a)) time)
+        (List.sort compare !found)
+    end
+  done;
 
   (* -- wire occupancy: an explicit fork/merge wire assignment must
         exist, and no wire may serve two overlapping slices -- *)
@@ -343,18 +402,33 @@ let run soc spec sched =
       None
   in
 
-  (* -- per-core width discipline and cost accounting -- *)
+  (* -- per-core width discipline and cost accounting, over the one
+        grouping pass -- *)
   ran acc Width_constant;
+  let first_start = Array.make n 0 and finish = Array.make n 0 in
+  let preemptions = Array.make n 0 in
   List.iter
-    (fun c ->
-      let css = Schedule.slices_of_core sched c in
-      let widths =
-        List.map (fun (s : Schedule.slice) -> s.Schedule.width) css
-        |> List.sort_uniq compare
-      in
-      match widths with
-      | [] -> ()
-      | [ width ] ->
+    (fun (c, css) ->
+      first_start.(c - 1) <- css.(0).Schedule.start;
+      finish.(c - 1) <-
+        Array.fold_left
+          (fun a (s : Schedule.slice) -> Int.max a s.Schedule.stop)
+          0 css;
+      let preempts = Schedule.preemptions_in css in
+      preemptions.(c - 1) <- preempts;
+      let width = css.(0).Schedule.width in
+      if
+        Array.exists
+          (fun (s : Schedule.slice) -> s.Schedule.width <> width)
+          css
+      then
+        fail acc Width_constant "core %d changes width across slices (%s)" c
+          (Array.to_list css
+          |> List.map (fun (s : Schedule.slice) -> s.Schedule.width)
+          |> List.sort_uniq compare
+          |> List.map string_of_int
+          |> String.concat ", ")
+      else begin
         let core = Soc_def.core soc c in
         let p = spec.pareto core in
         ran acc Pareto_width;
@@ -366,52 +440,52 @@ let run soc spec sched =
             c width effective;
         ran acc Time_accounting;
         let busy =
-          List.fold_left
+          Array.fold_left
             (fun a (s : Schedule.slice) ->
               a + (s.Schedule.stop - s.Schedule.start))
             0 css
         in
-        let preempts = Schedule.preemptions sched c in
-        let d = Wrapper_design.design core ~width in
-        let penalty = d.Wrapper_design.si + d.Wrapper_design.so in
-        let expected =
-          Pareto.time p ~width + (preempts * penalty)
-        in
-        if busy <> expected then
-          fail acc Time_accounting
-            "core %d busy %d cycles; Pareto time %d + %d preemption(s) x \
-             (si+so = %d) = %d"
-            c busy (Pareto.time p ~width) preempts penalty expected
-      | widths ->
-        fail acc Width_constant "core %d changes width across slices (%s)"
-          c
-          (String.concat ", " (List.map string_of_int widths)))
+        let time = Pareto.time p ~width in
+        (* the si+so restart cost only matters to a preempted core, or to
+           word a violation *)
+        if preempts > 0 || busy <> time then begin
+          let d = Wrapper_design.design core ~width in
+          let penalty = d.Wrapper_design.si + d.Wrapper_design.so in
+          let expected = time + (preempts * penalty) in
+          if busy <> expected then
+            fail acc Time_accounting
+              "core %d busy %d cycles; Pareto time %d + %d preemption(s) x \
+               (si+so = %d) = %d"
+              c busy time preempts penalty expected
+        end
+      end)
     known_cores;
 
   (* -- precedence: predecessor fully done before successor starts -- *)
   ran acc Precedence;
+  let scheduled = Array.make n false in
+  List.iter (fun (c, _) -> scheduled.(c - 1) <- true) known_cores;
   List.iter
     (fun (before, after) ->
-      match
-        (Schedule.core_finish sched before, Schedule.core_start sched after)
-      with
-      | Some fin, Some start when start < fin ->
-        fail acc Precedence
-          "core %d starts at t=%d before predecessor %d finishes at t=%d"
-          after start before fin
-      | None, Some start ->
-        fail acc Precedence
-          "core %d starts at t=%d but predecessor %d is never scheduled"
-          after start before
-      | _ -> ())
+      if scheduled.(after - 1) then begin
+        let start = first_start.(after - 1) in
+        if not scheduled.(before - 1) then
+          fail acc Precedence
+            "core %d starts at t=%d but predecessor %d is never scheduled"
+            after start before
+        else if start < finish.(before - 1) then
+          fail acc Precedence
+            "core %d starts at t=%d before predecessor %d finishes at t=%d"
+            after start before finish.(before - 1)
+      end)
     spec.constraints.Constraint_def.precedence;
 
   (* -- preemption budgets, with the si+so charge already verified by
         time accounting above -- *)
   ran acc Preemption_budget;
   List.iter
-    (fun c ->
-      let count = Schedule.preemptions sched c in
+    (fun (c, _) ->
+      let count = preemptions.(c - 1) in
       let limit = Constraint_def.max_preemptions_of spec.constraints c in
       if count > limit then
         fail acc Preemption_budget "core %d preempted %d time(s), limit %d"
@@ -422,7 +496,7 @@ let run soc spec sched =
   if spec.require_complete then begin
     ran acc Completeness;
     for c = 1 to n do
-      if not (List.mem c known_cores) then
+      if not scheduled.(c - 1) then
         fail acc Completeness "core %d is never scheduled" c
     done
   end;
@@ -441,9 +515,9 @@ let run soc spec sched =
       busy_area;
   (match allocations with
   | None -> () (* no wire assignment: the image is not even defined *)
-  | Some _ ->
+  | Some allocations ->
     ran acc Tester_image;
-    let img = Tester_image.of_schedule sched in
+    let img = Tester_image.of_allocations sched allocations in
     if img.Tester_image.depth <> makespan then
       fail acc Tester_image "image depth %d <> makespan %d"
         img.Tester_image.depth makespan;
@@ -483,7 +557,7 @@ let run soc spec sched =
     violations;
     checks_run = Check_set.cardinal acc.ran;
     cores_audited = List.length known_cores;
-    slices_audited = List.length slices;
+    slices_audited = m;
     makespan;
   }
 

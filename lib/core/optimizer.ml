@@ -412,12 +412,9 @@ let run ?(overrides = []) prepared ~tam_width ~constraints ~params =
   let preemptions =
     List.filter_map
       (fun (id, ss) ->
-        let gaps = ref 0 and prev_stop = ref ss.(0).Schedule.stop in
-        for k = 1 to Array.length ss - 1 do
-          if ss.(k).Schedule.start > !prev_stop then incr gaps;
-          prev_stop := max !prev_stop ss.(k).Schedule.stop
-        done;
-        if !gaps = 0 then None else Some (id, !gaps))
+        match Schedule.preemptions_in ss with
+        | 0 -> None
+        | gaps -> Some (id, gaps))
       by_core
   in
   {

@@ -33,11 +33,15 @@
     write-through on a solve, so solved work survives process restarts
     and is shared between the processes of a solve farm. Disk entries
     are {e never trusted}: every disk hit is decoded and re-audited
-    from first principles ({!Soctest_check.Audit.run}, through this
-    engine's Pareto cache, with the result's derived fields
+    from first principles ({!Soctest_check.Audit.run}, through the
+    prepared SOC's staircases, with the result's derived fields
     cross-checked against the audited schedule) before it is served — a
     corrupt, stale or tampered record degrades to a fresh solve that
-    overwrites it, and can never emit an invalid schedule. *)
+    overwrites it, and can never emit an invalid schedule. Within one
+    {!solve} the audit verdict is kept per distinct decoded schedule, so
+    grid points that decode to the same schedule share one audit; each
+    entry's params, W, makespan, widths and preemptions are still
+    checked on their own. *)
 
 module Optimizer = Soctest_core.Optimizer
 module Budget = Soctest_core.Budget
@@ -165,13 +169,16 @@ val pareto : t -> wmax:int -> Soctest_soc.Core_def.t -> Soctest_wrapper.Pareto.t
 
 val audit_spec :
   t ->
+  ?prepared:Optimizer.prepared ->
   ?expect_tam_width:int ->
   ?require_complete:bool ->
   wmax:int ->
   Soctest_constraints.Constraint_def.t ->
   Soctest_check.Audit.spec
 (** An {!Soctest_check.Audit.spec} whose staircase lookups go through
-    this engine's Pareto cache. [Engine.solve]'s own [SOCTEST_AUDIT]
+    this engine's Pareto cache. With [prepared] (built at the same
+    [wmax]), a core of the prepared SOC is looked up by id instead of by
+    digest. [Engine.solve]'s audit-on-load and [SOCTEST_AUDIT]
     post-condition and the serve daemon's per-response audits use
     this. *)
 

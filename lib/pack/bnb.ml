@@ -66,10 +66,11 @@ let solve ?(budget = Budget.unlimited) ?(node_limit = 2_000_000) prepared
   let rec search t min_id placed =
     if !nodes >= node_limit then raise Out_of_budget;
     incr nodes;
-    if !nodes land 255 = 0 then begin
-      Obs.add nodes_counter 256;
-      if Budget.exhausted budget then raise Out_of_budget
-    end;
+    if !nodes land 255 = 0 then Obs.add nodes_counter 256;
+    (* polled on the first node too, so a budget that is already spent
+       stops the search before it expands anything *)
+    if (!nodes = 1 || !nodes land 255 = 0) && Budget.exhausted budget then
+      raise Out_of_budget;
     let running = List.filter (fun p -> p.finish > t) placed in
     let used = List.fold_left (fun a p -> a + p.width) 0 running in
     let makespan_so_far =

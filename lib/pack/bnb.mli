@@ -41,9 +41,9 @@ val solve :
   constraints:Soctest_constraints.Constraint_def.t ->
   outcome
 (** [node_limit] defaults to 2 million; [budget] (default
-    {!Soctest_core.Budget.unlimited}) is polled cooperatively every few
-    hundred nodes. When either trips, the best incumbent is returned
-    with [optimal = false].
+    {!Soctest_core.Budget.unlimited}) is polled cooperatively at the
+    first node and every 256 nodes after it. When either trips, the
+    best incumbent is returned with [optimal = false].
     @raise Soctest_core.Optimizer.Infeasible when no legal schedule
     exists (via the heuristic seed — e.g. a power limit below a single
     core's power).

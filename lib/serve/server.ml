@@ -465,18 +465,19 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
     | Engine.Deadline -> Obs.incr deadline_c
     | Engine.Complete -> ());
     (* no unaudited schedule leaves the service *)
-    let audit =
+    let prepared, audit =
       phase ctx "audit" (fun () ->
-          Audit.run req.soc
-            (Engine.audit_spec t.engine_ ~wmax:req.wmax
-               ~expect_tam_width:req.tam_width constraints)
-            outcome.Engine.result.Optimizer.schedule)
+          let prepared = Engine.prepare t.engine_ ~wmax:req.wmax req.soc in
+          ( prepared,
+            Audit.run req.soc
+              (Engine.audit_spec t.engine_ ~prepared ~wmax:req.wmax
+                 ~expect_tam_width:req.tam_width constraints)
+              outcome.Engine.result.Optimizer.schedule ))
     in
     let lower_bound =
       phase ctx "bound" (fun () ->
-          Lower_bound.compute_constrained
-            (Engine.prepare t.engine_ ~wmax:req.wmax req.soc)
-            ~tam_width:req.tam_width ~constraints)
+          Lower_bound.compute_constrained prepared ~tam_width:req.tam_width
+            ~constraints)
     in
     if Audit.ok audit then
       json_reply ~status:200

@@ -93,16 +93,19 @@ let core_finish t core =
    ([s.start = prev_stop]) is a merge artifact, not a real interruption:
    nothing stopped, so no preemption (and no si+so restart cost) is
    counted. Only a strict gap ([s.start > prev_stop]) counts. *)
+let preemptions_in ss =
+  let gaps = ref 0 in
+  if Array.length ss > 0 then begin
+    let prev_stop = ref ss.(0).stop in
+    for k = 1 to Array.length ss - 1 do
+      if ss.(k).start > !prev_stop then incr gaps;
+      prev_stop := Int.max !prev_stop ss.(k).stop
+    done
+  end;
+  !gaps
+
 let preemptions t core =
-  let rec runs prev_stop count = function
-    | [] -> count
-    | s :: rest ->
-      let count = if s.start > prev_stop then count + 1 else count in
-      runs (max prev_stop s.stop) count rest
-  in
-  match slices_of_core t core with
-  | [] -> 0
-  | s :: rest -> runs s.stop 0 rest
+  preemptions_in (Array.of_list (slices_of_core t core))
 
 let width_of_core t core =
   match slices_of_core t core with

@@ -59,6 +59,10 @@ val preemptions : t -> int -> int
     does {e not} count — only a strict idle gap does, and each such gap
     incurs one [si + so] restart cost in the time accounting. *)
 
+val preemptions_in : slice array -> int
+(** {!preemptions} of one core's slices given in start order, as an
+    {!index} entry holds them ([0] for an empty array). *)
+
 val width_of_core : t -> int -> int option
 (** TAM width assigned to the core, when constant across its slices;
     [None] if the core is absent. @raise Invalid_argument if the core's

@@ -128,69 +128,69 @@ let allocate_result sched =
   | exception Capacity_exceeded { time; core; deficit } ->
     Error (time, core, deficit)
 
-(* Event sweep over a running occupancy bitset: sort (time, kind, idx)
-   boundaries, release each slice's wires at its stop before any claim at
-   the same instant (slices are half-open, so touching intervals share
-   wires legally), and flag the first wire claimed while occupied. Wires
-   are offset by the minimum index so arbitrary hand-built allocations
-   (negative or sparse wire ids, as property tests construct) stay in
-   range. Replaces an O(n² · w²) [List.mem] pairwise scan that dominated
-   audit time on large p3 sweeps. *)
+(* Event sweep over a running occupancy bitset: claims in start order,
+   releases in stop order, merged so that every slice stopping at or
+   before an instant releases its wires before any claim at that instant
+   (slices are half-open, so touching intervals share wires legally);
+   flag the first wire claimed while occupied. Both orders are index
+   arrays sorted on plain int keys. Wires are offset by the minimum index
+   so arbitrary hand-built allocations (negative or sparse wire ids, as
+   property tests construct) stay in range. Replaces an O(n² · w²)
+   [List.mem] pairwise scan that dominated audit time on large p3
+   sweeps. *)
 let is_disjoint allocations =
   (* empty slices ([stop <= start]) overlap nothing by definition *)
-  let live =
-    List.filter
-      (fun a -> a.slice.Schedule.start < a.slice.Schedule.stop)
-      allocations
+  let allocs =
+    Array.of_list
+      (List.filter
+         (fun a -> a.slice.Schedule.start < a.slice.Schedule.stop)
+         allocations)
   in
-  match live with
-  | [] -> true
-  | _ ->
-    let allocs = Array.of_list live in
-    let n = Array.length allocs in
-    let lo = ref max_int and hi = ref min_int in
-    Array.iter
-      (fun a ->
+  let n = Array.length allocs in
+  let lo = ref max_int and hi = ref min_int in
+  Array.iter
+    (fun a ->
+      List.iter
+        (fun w ->
+          if w < !lo then lo := w;
+          if w > !hi then hi := w)
+        a.wires)
+    allocs;
+  if !hi < !lo then true (* no wires anywhere *)
+  else begin
+    let base = !lo in
+    let occupied = Bitset.create (!hi - base + 1) in
+    let start = Array.map (fun a -> a.slice.Schedule.start) allocs in
+    let stop = Array.map (fun a -> a.slice.Schedule.stop) allocs in
+    let sorted_by key =
+      let order = Array.init n Fun.id in
+      Array.sort (fun i j -> Int.compare key.(i) key.(j)) order;
+      order
+    in
+    let claims = sorted_by start and releases = sorted_by stop in
+    let next_release = ref 0 and next_claim = ref 0 in
+    let clash = ref false in
+    while (not !clash) && !next_claim < n do
+      let c = claims.(!next_claim) in
+      if
+        !next_release < n && stop.(releases.(!next_release)) <= start.(c)
+      then begin
         List.iter
-          (fun w ->
-            if w < !lo then lo := w;
-            if w > !hi then hi := w)
-          a.wires)
-      allocs;
-    if !hi < !lo then true (* no wires anywhere *)
-    else begin
-      let base = !lo in
-      let occupied = Bitset.create (!hi - base + 1) in
-      (* kind 0 = release, 1 = claim: releases sort first per timestamp *)
-      let events = Array.init (2 * n) (fun k -> k) in
-      let time_of e =
-        let a = allocs.(e / 2) in
-        if e land 1 = 0 then a.slice.Schedule.stop
-        else a.slice.Schedule.start
-      in
-      let kind_of e = e land 1 in
-      Array.sort
-        (fun e1 e2 ->
-          match compare (time_of e1) (time_of e2) with
-          | 0 -> compare (kind_of e1) (kind_of e2)
-          | c -> c)
-        events;
-      let clash = ref false in
-      Array.iter
-        (fun e ->
-          if not !clash then
-            let a = allocs.(e / 2) in
-            if kind_of e = 0 then
-              List.iter (fun w -> Bitset.remove occupied (w - base)) a.wires
-            else begin
-              (* check all, then claim all: a duplicate wire inside one
-                 slice's own list is not a cross-slice clash *)
-              List.iter
-                (fun w -> if Bitset.mem occupied (w - base) then clash := true)
-                a.wires;
-              if not !clash then
-                List.iter (fun w -> Bitset.add occupied (w - base)) a.wires
-            end)
-        events;
-      not !clash
-    end
+          (fun w -> Bitset.remove occupied (w - base))
+          allocs.(releases.(!next_release)).wires;
+        incr next_release
+      end
+      else begin
+        (* check all, then claim all: a duplicate wire inside one
+           slice's own list is not a cross-slice clash *)
+        let wires = allocs.(c).wires in
+        List.iter
+          (fun w -> if Bitset.mem occupied (w - base) then clash := true)
+          wires;
+        if not !clash then
+          List.iter (fun w -> Bitset.add occupied (w - base)) wires;
+        incr next_claim
+      end
+    done;
+    not !clash
+  end

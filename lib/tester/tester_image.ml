@@ -11,7 +11,7 @@ type t = {
   per_wire_busy : int array;
 }
 
-let of_schedule sched =
+let of_allocations sched allocations =
   Obs.with_span ~cat:"phase" "tester.image" @@ fun () ->
   let tam_width = sched.Schedule.tam_width in
   let depth = Schedule.makespan sched in
@@ -22,11 +22,13 @@ let of_schedule sched =
       List.iter
         (fun w -> per_wire_busy.(w) <- per_wire_busy.(w) + span)
         wires)
-    (Wire_alloc.allocate sched);
+    allocations;
   let useful = Array.fold_left ( + ) 0 per_wire_busy in
   let volume = tam_width * depth in
   { tam_width; depth; volume; useful; padding = volume - useful;
     per_wire_busy }
+
+let of_schedule sched = of_allocations sched (Wire_alloc.allocate sched)
 
 let utilization t =
   if t.volume = 0 then 0.

@@ -17,7 +17,16 @@ type t = {
 }
 
 val of_schedule : Soctest_tam.Schedule.t -> t
-(** @raise Invalid_argument if the schedule violates capacity. *)
+(** [of_allocations sched (Wire_alloc.allocate sched)].
+    @raise Soctest_tam.Wire_alloc.Capacity_exceeded if the schedule
+    violates capacity. *)
+
+val of_allocations :
+  Soctest_tam.Schedule.t -> Soctest_tam.Wire_alloc.allocation list -> t
+(** The image of a schedule under a wire assignment already derived for
+    it, so a caller that holds {!Soctest_tam.Wire_alloc.allocate}'s
+    result (the auditor) does not allocate twice.
+    @raise Invalid_argument if a wire lies outside [0 .. tam_width-1]. *)
 
 val utilization : t -> float
 (** [useful / volume]; [0.] for an empty schedule. *)

@@ -26,7 +26,13 @@ let solved =
 
 let base_spec = Audit.spec ~wmax mini4_constraints
 
-let audit ?(spec = base_spec) ?(soc = mini4) sched = Audit.run soc spec sched
+(* every audit in this suite also runs the reference and must match it *)
+let run soc spec sched =
+  match Test_helpers.audit_vs_reference soc spec sched with
+  | Ok report -> report
+  | Error diff -> Alcotest.fail diff
+
+let audit ?(spec = base_spec) ?(soc = mini4) sched = run soc spec sched
 
 let caught check report =
   List.exists (fun (v : Audit.violation) -> v.Audit.check = check)
@@ -140,7 +146,7 @@ let test_pareto_width_caught () =
   let constraints = Constraint_def.unconstrained ~core_count:1 in
   let spec = Audit.spec ~wmax:8 constraints in
   let report =
-    Audit.run flat spec (rebuild ~tam_width:8 [ slice 1 4 0 t ])
+    run flat spec (rebuild ~tam_width:8 [ slice 1 4 0 t ])
   in
   assert_caught "ineffective width" Audit.Pareto_width report;
   Alcotest.(check bool) "time accounting unaffected" false
@@ -171,7 +177,7 @@ let test_power_caught () =
     Constraint_def.make ~core_count:2 ~power_limit:15 ()
   in
   let report =
-    Audit.run two_core_soc (Audit.spec ~wmax:8 constraints) duo_parallel
+    run two_core_soc (Audit.spec ~wmax:8 constraints) duo_parallel
   in
   assert_caught "power cap" Audit.Power report
 
@@ -180,7 +186,7 @@ let test_precedence_caught () =
     Constraint_def.make ~core_count:2 ~precedence:[ (1, 2) ] ()
   in
   let report =
-    Audit.run two_core_soc (Audit.spec ~wmax:8 constraints) duo_parallel
+    run two_core_soc (Audit.spec ~wmax:8 constraints) duo_parallel
   in
   assert_caught "precedence" Audit.Precedence report
 
@@ -189,7 +195,7 @@ let test_concurrency_caught () =
     Constraint_def.make ~core_count:2 ~concurrency:[ (1, 2) ] ()
   in
   let report =
-    Audit.run two_core_soc (Audit.spec ~wmax:8 constraints) duo_parallel
+    run two_core_soc (Audit.spec ~wmax:8 constraints) duo_parallel
   in
   assert_caught "concurrency exclusion" Audit.Concurrency report
 
@@ -203,7 +209,7 @@ let test_bist_caught () =
   let t = Pareto.time (Pareto.compute (Soc_def.core soc 1) ~wmax:8) ~width:2 in
   let constraints = Constraint_def.unconstrained ~core_count:2 in
   let report =
-    Audit.run soc
+    run soc
       (Audit.spec ~wmax:8 constraints)
       (rebuild ~tam_width:8 [ slice 1 2 0 t; slice 2 2 0 t ])
   in
@@ -221,7 +227,7 @@ let test_preemption_budget_caught () =
         slice 2 2 0 duo_time;
       ]
   in
-  let report = Audit.run two_core_soc (Audit.spec ~wmax:8 constraints) split in
+  let report = run two_core_soc (Audit.spec ~wmax:8 constraints) split in
   assert_caught "budget exceeded" Audit.Preemption_budget report;
   assert_caught "uncharged restart cost" Audit.Time_accounting report
 
@@ -277,7 +283,7 @@ let prop_audit_superset_of_validate =
       in
       let constraints = Constraint_def.make ~core_count:n () in
       let report =
-        Audit.run soc
+        run soc
           (Audit.spec ~wmax:8 ~require_complete:false constraints)
           sched
       in
@@ -298,7 +304,135 @@ let prop_solver_schedules_audit_clean =
         Audit.spec ~wmax:(O.wmax_of prepared) ~expect_tam_width:tam_width
           constraints
       in
-      Audit.ok (Audit.run soc spec r.O.schedule))
+      Audit.ok (run soc spec r.O.schedule))
+
+(* ---------------- the reference oracle ---------------- *)
+
+(* Real solver schedules to mutate: mini4 (a shared BIST engine and a
+   hierarchy exclusion), d695, p22810 and a BIST-heavy synthetic SOC, at
+   a few widths, half of them solved under a power cap with preemption
+   allowed so the si+so restart path is exercised too. *)
+let mutation_bases =
+  let synth =
+    Soctest_soc.Synth.generate
+      {
+        Soctest_soc.Synth.name = "bist8";
+        seed = 2024L;
+        core_count = 8;
+        target_data_bits = 60_000;
+        big_core_fraction = 0.25;
+        combinational_fraction = 0.1;
+        hierarchy_pairs = 2;
+        bist_engines = 2;
+      }
+  in
+  List.concat_map
+    (fun soc ->
+      let prepared = O.prepare ~wmax soc in
+      let n = Soc_def.core_count soc in
+      List.concat_map
+        (fun tam_width ->
+          List.filter_map
+            (fun preemptive ->
+              let constraints =
+                if preemptive then
+                  Constraint_def.of_soc soc
+                    ~power_limit:(2 * Soc_def.max_power soc)
+                    ~max_preemptions:(List.init n (fun k -> (k + 1, 2)))
+                    ()
+                else Constraint_def.of_soc soc ()
+              in
+              match
+                O.run_request prepared (O.request ~tam_width ~constraints ())
+              with
+              | r -> Some (soc, r.O.schedule)
+              | exception O.Infeasible _ -> None)
+            [ false; true ])
+        [ 5; 8; 13; 24 ])
+    [ mini4; Test_helpers.d695 (); Soctest_soc.Benchmarks.p22810 (); synth ]
+  |> Array.of_list
+
+(* One mutation of a slice list, drawn from [rand]: a shifted, stretched
+   or widened slice, a rogue core id, an overlapping duplicate, a slice
+   split around an idle gap, or a core dropped. *)
+let mutate_slices rand ~tam_width ~cores slices =
+  let arr = Array.of_list slices in
+  if arr = [||] then slices
+  else
+    let k = rand (Array.length arr) in
+    let s = arr.(k) in
+    let len = s.S.stop - s.S.start in
+    let others = List.filteri (fun i _ -> i <> k) slices in
+    match rand 7 with
+    | 0 ->
+      let start = max 0 (s.S.start + rand 41 - 20) in
+      { s with S.start; stop = start + len } :: others
+    | 1 ->
+      { s with S.stop = max (s.S.start + 1) (s.S.stop + rand 41 - 20) }
+      :: others
+    | 2 -> { s with S.width = max 1 (s.S.width + rand 6 - 2) } :: others
+    | 3 ->
+      let start = rand (s.S.stop + 1) in
+      slice (cores + 1 + rand 3) (1 + rand tam_width) start
+        (start + 1 + rand 50)
+      :: slices
+    | 4 ->
+      let shift = rand len in
+      { s with S.start = s.S.start + shift; stop = s.S.stop + shift }
+      :: slices
+    | 5 when len >= 2 ->
+      let mid = s.S.start + 1 + rand (len - 1) and gap = 1 + rand 30 in
+      { s with S.stop = mid }
+      :: { s with S.start = mid + gap; stop = s.S.stop + gap }
+      :: others
+    | 5 -> slices
+    | _ -> List.filter (fun (x : S.slice) -> x.S.core <> s.S.core) slices
+
+let prop_matches_reference =
+  Test_helpers.qtest "mutated solver schedules: audit = reference" ~count:600
+    QCheck.(
+      quad (int_range 0 (Array.length mutation_bases - 1)) small_nat
+        (int_range 0 4) (int_range 0 7))
+    (fun (base, seed, rounds, spec_pick) ->
+      let soc, sched = mutation_bases.(base) in
+      let st = Random.State.make [| seed; base; rounds |] in
+      let rand n = Random.State.int st n in
+      let n = Soc_def.core_count soc in
+      let slices = ref sched.S.slices in
+      for _ = 1 to rounds do
+        slices :=
+          mutate_slices rand ~tam_width:sched.S.tam_width ~cores:n !slices
+      done;
+      (* a wrong W, a power cap, preemption limits, a precedence edge or
+         a partial audit *)
+      let tam_width =
+        if spec_pick = 1 then max 1 (sched.S.tam_width + rand 7 - 3)
+        else sched.S.tam_width
+      in
+      let constraints =
+        match spec_pick with
+        | 2 ->
+          Constraint_def.of_soc soc
+            ~power_limit:(max 1 (Soc_def.max_power soc * (1 + rand 3)))
+            ()
+        | 3 ->
+          Constraint_def.of_soc soc
+            ~max_preemptions:(List.init n (fun k -> (k + 1, rand 3)))
+            ()
+        | 4 -> Constraint_def.of_soc soc ~precedence:[ (1, n) ] ()
+        | 5 -> Constraint_def.unconstrained ~core_count:n
+        | _ -> Constraint_def.of_soc soc ()
+      in
+      let spec =
+        Audit.spec ~wmax ~expect_tam_width:sched.S.tam_width
+          ~require_complete:(spec_pick <> 6) constraints
+      in
+      match
+        Test_helpers.audit_vs_reference soc spec
+          (S.make ~tam_width ~slices:!slices)
+      with
+      | Ok _ -> true
+      | Error diff -> QCheck.Test.fail_report diff)
 
 let () =
   Alcotest.run "audit"
@@ -331,5 +465,6 @@ let () =
         [
           prop_audit_superset_of_validate;
           prop_solver_schedules_audit_clean;
+          prop_matches_reference;
         ] );
     ]

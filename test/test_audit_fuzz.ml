@@ -1,6 +1,7 @@
 (* Differential fuzz harness: synthesize hundreds of SOCs, run every
-   strategy family on each, audit every schedule from first principles,
-   and cross-check makespans between strategies and against the lower
+   strategy family on each, audit every schedule from first principles
+   (and again with the reference auditor, which must agree), and
+   cross-check makespans between strategies and against the lower
    bound.
 
    Deterministic by construction: SOC parameters are drawn from the
@@ -125,7 +126,15 @@ let test_fuzz () =
     List.iter
       (fun ((s : Strategy.t), (o : Strategy.outcome)) ->
         let sched = o.Strategy.solution.Strategy.schedule in
-        let report = Audit.run d.soc spec sched in
+        (* every schedule is also audited by the reference, and the
+           two reports must agree *)
+        let report =
+          match Test_helpers.audit_vs_reference d.soc spec sched with
+          | Ok report -> report
+          | Error diff ->
+            Alcotest.failf "case %d, strategy %s: %s" case s.Strategy.name
+              diff
+        in
         incr schedules_audited;
         if not (Audit.ok report) then
           Alcotest.failf "case %d (%s, W=%d, wmax=%d), strategy %s: %a"

@@ -56,7 +56,11 @@ let fired (r : Audit.report) =
 (* the property every row asserts: [target] fires, co-fires only within
    [allowed] (which always contains [target]) *)
 let exactly ?(soc = soc2) ~target ~allowed spec sched =
-  let r = Audit.run soc spec sched in
+  let r =
+    match Test_helpers.audit_vs_reference soc spec sched with
+    | Ok r -> r
+    | Error diff -> QCheck.Test.fail_report diff
+  in
   let f = fired r in
   let name c = Audit.check_name c in
   if not (List.mem target f) then
@@ -400,10 +404,12 @@ let text_fuzz =
   | sched ->
     (* whatever parsed must audit without raising; violations are the
        expected answer for a corrupted schedule *)
-    let r =
-      Audit.run soc2 (spec ~require_complete:false ()) sched
-    in
-    ignore (Audit.ok r));
+    match
+      Test_helpers.audit_vs_reference soc2 (spec ~require_complete:false ())
+        sched
+    with
+    | Ok r -> ignore (Audit.ok r)
+    | Error diff -> QCheck.Test.fail_report diff);
   true
 
 let () =

@@ -291,8 +291,16 @@ let test_bnb_budget_degrades () =
   (* an exhausted cooperative budget degrades the same way *)
   let b = Budget.create () in
   Budget.cancel b;
+  let nodes_counter = Soctest_obs.Obs.counter "pack.bnb_nodes" in
+  Soctest_obs.Obs.enable ~events:false ();
   let o2 = Bnb.solve ~budget:b prepared ~tam_width:8 ~constraints in
-  Test_helpers.check_valid_schedule soc constraints o2.Bnb.schedule
+  let counted = Soctest_obs.Obs.counter_value nodes_counter in
+  Soctest_obs.Obs.disable ();
+  Test_helpers.check_valid_schedule soc constraints o2.Bnb.schedule;
+  Alcotest.(check bool) "cancelled: not proved optimal" false
+    o2.Bnb.optimal;
+  Alcotest.(check int) "cancelled: stops at the first node" 1 o2.Bnb.nodes;
+  Alcotest.(check int) "pack.bnb_nodes sums to nodes" o2.Bnb.nodes counted
 
 let () =
   Alcotest.run "pack"

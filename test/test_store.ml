@@ -10,6 +10,7 @@ module O = Soctest_core.Optimizer
 module C = Soctest_constraints.Constraint_def
 module Soc_def = Soctest_soc.Soc_def
 module IO = Soctest_tam.Schedule_io
+module Obs = Soctest_obs.Obs
 
 let un soc = C.unconstrained ~core_count:(Soc_def.core_count soc)
 
@@ -327,6 +328,117 @@ let test_env_var_opens_store () =
         Store.close s
       | None -> Alcotest.fail "store vanished")
 
+(* ---------------- the per-solve audit verdict memo ---------------- *)
+
+(* Four grid points of mini4 at W=8 that all yield one schedule; the
+   tests assert that before relying on it. *)
+let shared_req soc =
+  Engine.request soc ~tam_width:8 ~constraints:(un soc)
+    ~grid:
+      {
+        Engine.percents = [ 1; 5 ];
+        deltas = [ 0; 1 ];
+        slacks = [ 3 ];
+        widens = [ true ];
+      }
+    ()
+
+let decode payload =
+  match Engine.result_of_payload payload with
+  | Ok r -> r
+  | Error e -> Alcotest.failf "stored payload does not decode: %s" e
+
+(* Solve [shared_req] into a fresh store; the stored (key, payload)
+   pairs come back, checked to share one schedule. *)
+let seed_shared_store path =
+  let soc = Test_helpers.mini4 () in
+  let store = Store.open_ path in
+  let solved = Engine.solve (Engine.create ~store ()) (shared_req soc) in
+  let entries = ref [] in
+  Store.iter store (fun ~key ~payload ->
+      entries := (key, payload) :: !entries);
+  Store.close store;
+  Alcotest.(check int) "four stored grid points" 4 (List.length !entries);
+  Alcotest.(check int) "one schedule among them" 1
+    (List.length
+       (List.sort_uniq compare
+          (List.map (fun (_, p) -> IO.to_string (decode p).O.schedule)
+             !entries)));
+  (soc, solved, !entries)
+
+let audits_counter = Obs.counter "check.audits"
+
+(* Solve [shared_req] over the store at [path] with a fresh engine:
+   the outcome, the engine's store counters and the audits run. *)
+let solve_counting_audits soc path =
+  let store = Store.open_ path in
+  let engine = Engine.create ~store () in
+  Obs.enable ~events:false ();
+  let o = Engine.solve engine (shared_req soc) in
+  let audits = Obs.counter_value audits_counter in
+  Obs.disable ();
+  Store.close store;
+  (o, Engine.store_stats engine, audits)
+
+let test_memo_audits_shared_schedule_once () =
+  with_store_file @@ fun path ->
+  let soc, solved, _ = seed_shared_store path in
+  let o, stats, audits = solve_counting_audits soc path in
+  Alcotest.(check int) "every grid point a store hit" 4 stats.Engine.hits;
+  Alcotest.(check int) "no rejects" 0 stats.Engine.audit_rejects;
+  Alcotest.(check int) "served from the store" 4
+    o.Engine.stats.Engine.eval_from_store;
+  Alcotest.(check int) "one audit for the shared schedule" 1 audits;
+  Alcotest.(check string) "same answer"
+    (IO.to_string solved.Engine.result.O.schedule)
+    (IO.to_string o.Engine.result.O.schedule)
+
+(* A memoized clean verdict vouches for the schedule only: an entry
+   whose testing time or widths disagree with that schedule is still
+   rejected and healed, whether its schedule was audited before it
+   (the last grid point) or after it (the first). *)
+let test_memo_keeps_per_entry_checks () =
+  List.iter
+    (fun (point, tamper) ->
+      with_store_file @@ fun path ->
+      let soc, solved, entries = seed_shared_store path in
+      let key, payload =
+        List.find
+          (fun (key, _) -> Test_helpers.contains_substring key point)
+          entries
+      in
+      let store = Store.open_ path in
+      Store.add store ~key
+        (Engine.result_to_payload (tamper (decode payload)));
+      Store.close store;
+      let o, stats, audits = solve_counting_audits soc path in
+      Alcotest.(check int) (point ^ ": tampered entry rejected") 1
+        stats.Engine.audit_rejects;
+      Alcotest.(check int) (point ^ ": the others served") 3
+        stats.Engine.hits;
+      Alcotest.(check int) (point ^ ": still one audit") 1 audits;
+      Alcotest.(check string) (point ^ ": same answer")
+        (IO.to_string solved.Engine.result.O.schedule)
+        (IO.to_string o.Engine.result.O.schedule);
+      (* the re-solve overwrote the tampered record *)
+      let _, healed, _ = solve_counting_audits soc path in
+      Alcotest.(check int) (point ^ ": healed") 4 healed.Engine.hits;
+      Alcotest.(check int) (point ^ ": no rejects after healing") 0
+        healed.Engine.audit_rejects)
+    [
+      ( ",p=1,d=0,",
+        fun r -> { r with O.testing_time = r.O.testing_time + 1 } );
+      ( ",p=5,d=1,",
+        fun r ->
+          {
+            r with
+            O.widths =
+              List.map
+                (fun (c, w) -> if c = 1 then (c, w + 1) else (c, w))
+                r.O.widths;
+          } );
+    ]
+
 let () =
   Alcotest.run "store"
     [
@@ -356,5 +468,12 @@ let () =
             test_payload_codec_roundtrip;
           Alcotest.test_case "SOCTEST_STORE env" `Quick
             test_env_var_opens_store;
+        ] );
+      ( "verdict memo",
+        [
+          Alcotest.test_case "one audit per shared schedule" `Quick
+            test_memo_audits_shared_schedule_once;
+          Alcotest.test_case "per-entry checks kept" `Quick
+            test_memo_keeps_per_entry_checks;
         ] );
     ]

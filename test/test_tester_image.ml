@@ -121,6 +121,19 @@ let test_multisite_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected empty rejection"
 
+(* The auditor builds the image from the wire assignment it already
+   holds; that must be the image [of_schedule] derives on its own. *)
+let prop_of_allocations =
+  Test_helpers.qtest "of_allocations (allocate s) = of_schedule s" ~count:60
+    Test_helpers.arb_soc_with_constraints
+    (fun (soc, constraints, tam_width) ->
+      let r =
+        O.run_request (O.prepare soc) (O.request ~tam_width ~constraints ())
+      in
+      let s = r.O.schedule in
+      TI.of_allocations s (Soctest_tam.Wire_alloc.allocate s)
+      = TI.of_schedule s)
+
 let () =
   Alcotest.run "tester_image"
     [
@@ -130,6 +143,7 @@ let () =
           Alcotest.test_case "matches volume model" `Quick
             test_image_matches_volume_model;
           Alcotest.test_case "empty" `Quick test_empty_image;
+          prop_of_allocations;
         ] );
       ( "compression",
         [
