@@ -266,12 +266,22 @@ let engine_benches =
   in
   let warm = Engine.create () in
   ignore (Engine.solve_many warm (reqs ()));
+  (* the daemon's memory hit: a Table-1 grid solve answered from the
+     cache, plus the audit verdict its cache entry keeps *)
+  let grid_req () =
+    Engine.request p93791 ~tam_width:32 ~constraints:(unconstrained p93791)
+      ~grid:Engine.default_grid ()
+  in
+  ignore ((Engine.solve warm (grid_req ())).Engine.verdict ());
   [
     Test.make ~name:"engine/solve_many_cold_d695_w1-16"
       (Staged.stage (fun () ->
            ignore (Engine.solve_many (Engine.create ()) (reqs ()))));
     Test.make ~name:"engine/solve_many_warm_d695_w1-16"
       (Staged.stage (fun () -> ignore (Engine.solve_many warm (reqs ()))));
+    Test.make ~name:"engine/warm_grid_hit_p93791_w32"
+      (Staged.stage (fun () ->
+           ignore ((Engine.solve warm (grid_req ())).Engine.verdict ())));
   ]
 
 let check_benches =

@@ -1,5 +1,7 @@
+module Clock = Soctest_obs.Clock
+
 type t = {
-  deadline : float option;  (** absolute, [Unix.gettimeofday] seconds *)
+  deadline : float option;  (** absolute, monotonic ms ({!Clock.now_ms}) *)
   max_evals : int option;
   evals : int Atomic.t;
   cancelled : bool Atomic.t;
@@ -23,8 +25,7 @@ let create ?deadline_ms ?max_evals () =
   | Some m when m < 0 -> invalid_arg "Budget.create: max_evals < 0"
   | _ -> ());
   {
-    deadline =
-      Option.map (fun d -> Unix.gettimeofday () +. (d /. 1000.)) deadline_ms;
+    deadline = Option.map (fun d -> Clock.now_ms () +. d) deadline_ms;
     max_evals;
     evals = Atomic.make 0;
     cancelled = Atomic.make false;
@@ -43,10 +44,8 @@ let exhausted t =
         | None -> false)
      ||
      match t.deadline with
-     | Some d -> Unix.gettimeofday () >= d
+     | Some d -> Clock.now_ms () >= d
      | None -> false)
 
 let remaining_ms t =
-  Option.map
-    (fun d -> Float.max 0. ((d -. Unix.gettimeofday ()) *. 1000.))
-    t.deadline
+  Option.map (fun d -> Float.max 0. (d -. Clock.now_ms ())) t.deadline

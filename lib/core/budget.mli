@@ -1,6 +1,6 @@
 (** Cooperative deadline / cancellation token for the solver stack.
 
-    A budget bounds a solve by wall-clock time, by a maximum number of
+    A budget bounds a solve by elapsed time, by a maximum number of
     scheduler evaluations, or by an explicit {!cancel} — whichever trips
     first. It is {e cooperative}: searchers ({!Optimizer.best_over_params},
     {!Anneal.search}, {!Improve.polish}, the portfolio racer and the
@@ -12,7 +12,12 @@
     Tokens are safe to share across OCaml 5 domains: the evaluation count
     and the cancel flag are [Atomic]s, the deadline is immutable. The same
     token can be threaded through several searchers at once (e.g. every
-    strategy of a portfolio race) to enforce one global budget. *)
+    strategy of a portfolio race) to enforce one global budget.
+
+    Deadlines are on the monotonic clock ({!Soctest_obs.Clock}), the
+    same clock the serve daemon orders its queue by, so a wall-clock
+    step (NTP, a manual [date]) neither stretches nor expires a budget
+    in flight. *)
 
 type t
 
@@ -21,8 +26,8 @@ val unlimited : t
     every [?budget] argument in the stack. *)
 
 val create : ?deadline_ms:float -> ?max_evals:int -> unit -> t
-(** A fresh token. [deadline_ms] is wall-clock milliseconds measured from
-    this call; [max_evals] caps the number of {!note_eval} ticks.
+(** A fresh token. [deadline_ms] is monotonic milliseconds measured
+    from this call; [max_evals] caps the number of {!note_eval} ticks.
     Omitting both yields a token only {!cancel} can exhaust.
     @raise Invalid_argument if [deadline_ms < 0] or [max_evals < 0]. *)
 
@@ -39,9 +44,10 @@ val evals : t -> int
 
 val exhausted : t -> bool
 (** [true] once the deadline has passed, [max_evals] ticks were recorded,
-    or {!cancel} was called. Monotonic for cancel/evals; the wall-clock
-    component is re-read on every call. *)
+    or {!cancel} was called. Monotonic for cancel/evals; the clock is
+    re-read on every call. *)
 
 val remaining_ms : t -> float option
 (** Milliseconds until the deadline ([None] if no deadline; clamped to
-    [0.] once passed). *)
+    [0.] once passed). Never increases between calls and never exceeds
+    the [deadline_ms] the token was created with. *)

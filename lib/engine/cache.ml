@@ -1,4 +1,5 @@
 module Obs = Soctest_obs.Obs
+module Clock = Soctest_obs.Clock
 
 (* One histogram shared by every cache: how long duplicate requests
    block waiting for the first computer. Buckets in milliseconds. *)
@@ -47,7 +48,7 @@ let value_of = function
 
 (* Wait (lock held) until [k]'s slot settles, then return it. *)
 let await t k =
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ms () in
   let rec loop () =
     match Hashtbl.find_opt t.table k with
     | Some Pending ->
@@ -59,8 +60,7 @@ let await t k =
       assert false
   in
   let settled = loop () in
-  Obs.observe dedup_wait_histogram
-    (Float.max 0. ((Unix.gettimeofday () -. started) *. 1000.));
+  Obs.observe dedup_wait_histogram (Float.max 0. (Clock.now_ms () -. started));
   settled
 
 let find_or_compute t k f =

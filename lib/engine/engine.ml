@@ -12,6 +12,7 @@ module Log = Soctest_obs.Log
 module Store = Soctest_store.Store
 module Schedule = Soctest_tam.Schedule
 module Schedule_io = Soctest_tam.Schedule_io
+module Audit = Soctest_check.Audit
 
 (* ------------------------------------------------------------------ *)
 (* Digests: MD5 hex of canonical textual renderings, so keys are stable
@@ -80,7 +81,10 @@ let result_to_payload (r : Optimizer.result) =
          ("schedule", Json.String (Schedule_io.to_string r.Optimizer.schedule));
        ])
 
-let result_of_payload s =
+(* A payload decoded up to its schedule, which is still text: [complete]
+   builds the result around a parsed schedule. A grid solve loading many
+   points from the store parses each distinct text once. *)
+let decode_payload s =
   let ( let* ) = Result.bind in
   let int name j =
     match Json.member name j with
@@ -134,18 +138,25 @@ let result_of_payload s =
             }
         | None -> Error "payload field \"params\" missing"
       in
-      let* schedule =
+      let* text =
         match Json.member "schedule" j with
-        | Some (Json.String text) -> (
-          try Ok (Schedule_io.of_string text)
-          with Schedule_io.Parse_error e ->
-            Error
-              (Format.asprintf "payload schedule malformed: %a"
-                 Schedule_io.pp_error e))
+        | Some (Json.String text) -> Ok text
         | _ -> Error "payload field \"schedule\" missing or not a string"
       in
-      Ok
+      let complete schedule =
         { Optimizer.schedule; testing_time; widths; preemptions; params }
+      in
+      Ok (text, complete)
+
+let parse_schedule text =
+  try Ok (Schedule_io.of_string text)
+  with Schedule_io.Parse_error e ->
+    Error
+      (Format.asprintf "payload schedule malformed: %a" Schedule_io.pp_error e)
+
+let result_of_payload s =
+  Result.bind (decode_payload s) (fun (text, complete) ->
+      Result.map complete (parse_schedule text))
 
 (* ------------------------------------------------------------------ *)
 
@@ -156,10 +167,29 @@ type store_stats = {
   write_errors : int;
 }
 
+(* Everything in an evaluation's key but its grid point, built once per
+   solve. The store key is [head ^ params_key params ^ tail], byte for
+   byte the key stores have always used; the memory key is the pair
+   (scope, params), so a memory hit formats no string and the store key
+   is built only on a memory miss. *)
+type scope = { head : string; tail : string }
+
+let store_key scope params = scope.head ^ params_key params ^ scope.tail
+
+(* An eval-cache entry: one grid point's result and, once a solve has
+   served it, its audit report under the serving spec. The key fixes
+   that spec (SOC, wmax, W, constraints) and the entry never changes, so
+   neither can the report; worker domains share entries, so it is kept
+   in an Atomic. *)
+type entry = {
+  result : Optimizer.result;
+  report : Audit.report option Atomic.t;
+}
+
 type t = {
   pareto_cache : (string * int, Pareto.t) Cache.t;
   prepare_cache : (string * int, Optimizer.prepared) Cache.t;
-  eval_cache : (string, Optimizer.result) Cache.t;
+  eval_cache : (scope * Optimizer.params, entry) Cache.t;
   (* one-slot physical-equality memos: a batch re-digests the same SOC /
      constraint values over and over, so remember the last rendering *)
   soc_memo : (Soc_def.t * string) option Atomic.t;
@@ -256,17 +286,20 @@ let audit_spec t ?prepared ?expect_tam_width ?require_complete ~wmax
     | Some p when Optimizer.wmax_of p = wmax -> prepared_pareto t p
     | _ -> pareto t ~wmax
   in
-  Soctest_check.Audit.spec ~wmax ?expect_tam_width ?require_complete ~pareto
+  Audit.spec ~wmax ?expect_tam_width ?require_complete ~pareto
     constraints
 
-let eval_key t ?(overrides = []) prepared (req : Optimizer.request) =
-  Printf.sprintf "%s|pw=%d|W=%d|%s|c=%s|o=%s"
-    (soc_digest_of t (Optimizer.soc_of prepared))
-    (Optimizer.wmax_of prepared)
-    req.Optimizer.tam_width
-    (params_key req.Optimizer.params)
-    (constraints_digest_of t req.Optimizer.constraints)
-    (overrides_key overrides)
+let scope t ?(overrides = []) prepared ~tam_width constraints =
+  {
+    head =
+      Printf.sprintf "%s|pw=%d|W=%d|"
+        (soc_digest_of t (Optimizer.soc_of prepared))
+        (Optimizer.wmax_of prepared) tam_width;
+    tail =
+      Printf.sprintf "|c=%s|o=%s"
+        (constraints_digest_of t constraints)
+        (overrides_key overrides);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* The disk tier. Lookup order is memory -> disk -> solve, with
@@ -277,57 +310,44 @@ let eval_key t ?(overrides = []) prepared (req : Optimizer.request) =
    entry degrades to a fresh solve (which then overwrites it) instead
    of ever being served. *)
 
-(* One solve's audit verdicts, keyed by the decoded schedule hashed over
-   its full content ([Hashtbl.hash] sees only the first few slices).
-   Within one [solve] the audit spec is fixed (one SOC, W, wmax and
-   constraint set), so [Audit.run] is a pure function of the schedule
-   and grid points that decode to the same schedule share one audit.
-   A table lives for one solve and is never shared. *)
-module Verdicts = Hashtbl.Make (struct
-  type t = Schedule.t
+(* One solve's loaded schedules: each distinct schedule text among the
+   payloads it reads, parsed once and audited once. Within one [solve]
+   the audit spec is fixed (one SOC, W, wmax and constraint set), so
+   [Audit.run] is a pure function of the text, and grid points that
+   stored the same schedule share one parse and one audit. A table
+   lives for one solve and is never shared. *)
+type loaded = (string, Schedule.t * Audit.report) Hashtbl.t
 
-  let equal (a : t) (b : t) = a = b
+let load_schedule t (loaded : loaded) prepared (req : Optimizer.request) text
+    =
+  match Hashtbl.find_opt loaded text with
+  | Some parsed -> Ok parsed
+  | None ->
+    Result.map
+      (fun sched ->
+        let report =
+          Audit.run (Optimizer.soc_of prepared)
+            (audit_spec t ~prepared ~wmax:(Optimizer.wmax_of prepared)
+               ~expect_tam_width:req.Optimizer.tam_width
+               req.Optimizer.constraints)
+            sched
+        in
+        Hashtbl.add loaded text (sched, report);
+        (sched, report))
+      (parse_schedule text)
 
-  let hash (s : t) =
-    List.fold_left
-      (fun h (x : Schedule.slice) ->
-        let h = (h * 31) + x.Schedule.core in
-        let h = (h * 31) + x.Schedule.width in
-        let h = (h * 31) + x.Schedule.start in
-        ((h * 31) + x.Schedule.stop) land max_int)
-      s.Schedule.tam_width s.Schedule.slices
-end)
-
-let validate_store_result t ?verdicts prepared (req : Optimizer.request)
-    (r : Optimizer.result) =
+(* A loaded result is served only if its own fields agree with its
+   audited schedule: the params it was stored under, W, the makespan,
+   and the widths and preemptions — a flipped byte in [widths] is as bad
+   as one in a slice. One index pass derives both; a clean audit has
+   already proved each core keeps one width. *)
+let consistent (req : Optimizer.request) (r : Optimizer.result) report =
   let sched = r.Optimizer.schedule in
   r.Optimizer.params = req.Optimizer.params
   && sched.Schedule.tam_width = req.Optimizer.tam_width
+  && Audit.ok report
+  && r.Optimizer.testing_time = report.Audit.makespan
   &&
-  let audit () =
-    Soctest_check.Audit.run (Optimizer.soc_of prepared)
-      (audit_spec t ~prepared ~wmax:(Optimizer.wmax_of prepared)
-         ~expect_tam_width:req.Optimizer.tam_width req.Optimizer.constraints)
-      sched
-  in
-  let report =
-    match verdicts with
-    | None -> audit ()
-    | Some memo -> (
-      match Verdicts.find_opt memo sched with
-      | Some report -> report
-      | None ->
-        let report = audit () in
-        Verdicts.add memo sched report;
-        report)
-  in
-  Soctest_check.Audit.ok report
-  && r.Optimizer.testing_time = report.Soctest_check.Audit.makespan
-  &&
-  (* the non-schedule result fields must be re-derivable from the
-     audited schedule — a flipped byte in [widths] is as bad as one in
-     a slice. One index pass derives both; a clean audit has already
-     proved each core keeps one width. *)
   let by_core = Schedule.index sched in
   List.sort compare r.Optimizer.widths
   = List.map (fun (c, ss) -> (c, ss.(0).Schedule.width)) by_core
@@ -339,7 +359,7 @@ let validate_store_result t ?verdicts prepared (req : Optimizer.request)
            | n -> Some (c, n))
          by_core
 
-let store_find t ?verdicts key prepared req =
+let store_find t ~loaded key prepared req =
   match t.store with
   | None -> None
   | Some store -> (
@@ -353,11 +373,17 @@ let store_find t ?verdicts key prepared req =
       Obs.incr store_misses_c;
       None
     | Some payload -> (
-      match result_of_payload payload with
-      | Ok r when validate_store_result t ?verdicts prepared req r ->
+      let decoded =
+        Result.bind (decode_payload payload) (fun (text, complete) ->
+            Result.map
+              (fun (sched, report) -> (complete sched, report))
+              (load_schedule t loaded prepared req text))
+      in
+      match decoded with
+      | Ok (r, report) when consistent req r report ->
         Atomic.incr t.store_hits;
         Obs.incr store_hits_c;
-        Some r
+        Some (r, report)
       | (Ok _ | Error _) as decoded ->
         Atomic.incr t.store_rejects;
         Obs.incr store_rejects_c;
@@ -391,7 +417,7 @@ let store_put t key r =
             ("error", Json.String (Printexc.to_string exn));
           ])
 
-(* Per-solve accounting threaded through [cached_eval]; the public
+(* Per-solve accounting threaded through [cached_entry]; the public
    evaluator omits it. The two time accumulators attribute where a
    computed evaluation's wall time went: probing (and auditing) the
    disk tier vs running the optimizer. *)
@@ -414,41 +440,61 @@ let new_tally () =
     t_solve_ms = ref 0.;
   }
 
-(* The caching drop-in for [Optimizer.run_request]. *)
-let cached_eval t ?tally ?verdicts ?overrides prepared req =
-  let key = eval_key t ?overrides prepared req in
-  let via_store = ref false in
-  let probe_ms = ref 0. and solve_ms = ref 0. in
-  let result, outcome =
-    Cache.find_or_compute t.eval_cache key (fun () ->
+(* The caching drop-in for [Optimizer.run_request], returning the cache
+   entry. An entry loaded from the store keeps the report its load
+   audit produced. A hit allocates no accounting: only a miss times its
+   store probe and scheduler run. *)
+let cached_entry t ?tally ?loaded ~scope ?overrides prepared
+    (req : Optimizer.request) =
+  let note f = Option.iter f tally in
+  let entry, outcome =
+    Cache.find_or_compute t.eval_cache (scope, req.Optimizer.params)
+      (fun () ->
+        let key = store_key scope req.Optimizer.params in
+        let loaded =
+          match loaded with Some l -> l | None -> Hashtbl.create 1
+        in
         let t0 = Clock.now_ms () in
-        match store_find t ?verdicts key prepared req with
-        | Some r ->
-          probe_ms := Clock.now_ms () -. t0;
-          via_store := true;
-          r
+        let found = store_find t ~loaded key prepared req in
+        let t1 = Clock.now_ms () in
+        note (fun ty ->
+            ty.t_store_probe_ms := !(ty.t_store_probe_ms) +. (t1 -. t0));
+        match found with
+        | Some (result, report) ->
+          note (fun ty -> incr ty.t_from_store);
+          { result; report = Atomic.make (Some report) }
         | None ->
-          probe_ms := Clock.now_ms () -. t0;
-          let t1 = Clock.now_ms () in
-          let r = Optimizer.run_request ?overrides prepared req in
-          solve_ms := Clock.now_ms () -. t1;
-          store_put t key r;
-          r)
+          let result = Optimizer.run_request ?overrides prepared req in
+          note (fun ty ->
+              incr ty.t_computed;
+              ty.t_solve_ms := !(ty.t_solve_ms) +. (Clock.now_ms () -. t1));
+          store_put t key result;
+          { result; report = Atomic.make None })
   in
-  (match tally with
-  | None -> ()
-  | Some ty -> (
-    ty.t_store_probe_ms := !(ty.t_store_probe_ms) +. !probe_ms;
-    ty.t_solve_ms := !(ty.t_solve_ms) +. !solve_ms;
-    match outcome with
-    | Cache.Computed ->
-      if !via_store then incr ty.t_from_store else incr ty.t_computed
-    | Cache.Cached -> incr ty.t_cached
-    | Cache.Deduped -> incr ty.t_deduped));
-  result
+  (match outcome with
+  | Cache.Computed -> ()
+  | Cache.Cached -> note (fun ty -> incr ty.t_cached)
+  | Cache.Deduped -> note (fun ty -> incr ty.t_deduped));
+  entry
 
 let evaluator t : Optimizer.evaluator =
- fun ?overrides prepared req -> cached_eval t ?overrides prepared req
+ fun ?overrides prepared req ->
+  let scope =
+    scope t ?overrides prepared ~tam_width:req.Optimizer.tam_width
+      req.Optimizer.constraints
+  in
+  (cached_entry t ~scope ?overrides prepared req).result
+
+(* The entry's report, audited by [audit] the first time it is asked
+   for. Two domains racing on a fresh entry may both audit; they store
+   the same report. *)
+let verdict_of entry audit =
+  match Atomic.get entry.report with
+  | Some report -> report
+  | None ->
+    let report = audit () in
+    Atomic.set entry.report (Some report);
+    report
 
 (* ------------------------------------------------------------------ *)
 
@@ -508,6 +554,7 @@ type outcome = {
   status : status;
   evaluations : int;
   stats : stats;
+  verdict : unit -> Audit.report;
 }
 
 let solve t (r : request) =
@@ -533,26 +580,43 @@ let solve t (r : request) =
   in
   let pareto_cached = Soc_def.core_count r.soc - pareto_computed in
   let tally = new_tally () in
-  let verdicts = Verdicts.create 16 in
+  let loaded : loaded = Hashtbl.create 16 in
+  let solve_scope = scope t prepared ~tam_width:r.tam_width r.constraints in
   let evaluated = ref 0 in
-  let eval ?overrides prepared req =
+  let served = ref [] in
+  (* [best_over_params] evaluates the request's width and constraints at
+     every point, so the solve's scope keys every call made without
+     width overrides *)
+  let eval ?overrides prepared (req : Optimizer.request) =
     incr evaluated;
-    cached_eval t ~tally ~verdicts ?overrides prepared req
+    let scope =
+      if overrides = None then solve_scope
+      else
+        scope t ?overrides prepared ~tam_width:req.Optimizer.tam_width
+          req.Optimizer.constraints
+    in
+    let entry = cached_entry t ~tally ~loaded ~scope ?overrides prepared req in
+    served := entry :: !served;
+    entry.result
   in
   let best =
     Optimizer.best_over_params ~budget:r.budget ~eval prepared
       ~tam_width:r.tam_width ~constraints:r.constraints ~percents:g.percents
       ~deltas:g.deltas ~slacks:g.slacks ~widens:g.widens ()
   in
+  (* the entry [best] came from: every evaluation returns its own
+     entry's result value *)
+  let entry = List.find (fun (e : entry) -> e.result == best) !served in
+  let spec =
+    audit_spec t ~prepared ~wmax:r.wmax ~expect_tam_width:r.tam_width
+      r.constraints
+  in
   (* debug-mode post-condition: with SOCTEST_AUDIT on, every schedule the
      engine hands out is re-audited from first principles *)
-  Soctest_check.Audit.enforce
+  Audit.enforce
     ~source:
       (Printf.sprintf "engine.solve %s W=%d" r.soc.Soc_def.name r.tam_width)
-    r.soc
-    (audit_spec t ~prepared ~wmax:r.wmax ~expect_tam_width:r.tam_width
-       r.constraints)
-    best.Optimizer.schedule;
+    r.soc spec best.Optimizer.schedule;
   let status =
     if !evaluated < grid_size then begin
       Obs.instant ~cat:"engine" "engine.deadline"
@@ -581,6 +645,10 @@ let solve t (r : request) =
         store_probe_ms = !(tally.t_store_probe_ms);
         eval_solve_ms = !(tally.t_solve_ms);
       };
+    verdict =
+      (fun () ->
+        verdict_of entry (fun () ->
+            Audit.run r.soc spec best.Optimizer.schedule));
   }
 
 let solve_many t requests =

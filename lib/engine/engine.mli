@@ -38,10 +38,18 @@
     cross-checked against the audited schedule) before it is served — a
     corrupt, stale or tampered record degrades to a fresh solve that
     overwrites it, and can never emit an invalid schedule. Within one
-    {!solve} the audit verdict is kept per distinct decoded schedule, so
-    grid points that decode to the same schedule share one audit; each
-    entry's params, W, makespan, widths and preemptions are still
-    checked on their own. *)
+    {!solve} each distinct stored schedule text is parsed and audited
+    once, so grid points that stored the same schedule share one parse
+    and one audit; each entry's params, W, makespan, widths and
+    preemptions are still checked on their own.
+
+    {2 Verdicts}
+
+    A solve's {!outcome} carries the audit report of its schedule
+    ([verdict]). The report is kept on the cache entry the schedule
+    came from, so a key answered many times is audited once: when it is
+    first asked for, or by the audit that ran when the entry was loaded
+    from the store. *)
 
 module Optimizer = Soctest_core.Optimizer
 module Budget = Soctest_core.Budget
@@ -130,6 +138,13 @@ type outcome = {
   status : status;
   evaluations : int;  (** grid points evaluated (computed or cached) *)
   stats : stats;
+  verdict : unit -> Soctest_check.Audit.report;
+      (** the full {!Soctest_check.Audit.run} report of
+          [result.schedule] under the serving spec ({!audit_spec}
+          [~prepared ~wmax ~expect_tam_width:tam_width]). It is kept on
+          the cache entry [result] came from: audited the first time any
+          solve asks for it, or taken from the audit that ran when the
+          entry was loaded from the store. *)
 }
 
 (** {1 Solving} *)

@@ -4,10 +4,11 @@
     mid-span shifts every in-flight measurement, and a large backwards
     step can turn a latency observation negative (silently clamped to
     zero until now — corrupting histograms either way). Everything in
-    the repo that measures {e durations} goes through this module
-    instead; wall-clock time remains the right source for log
-    timestamps ({!Log}) and absolute deadlines
-    ({!Soctest_core.Budget}).
+    the repo that measures {e durations} or keeps a {e deadline}
+    (budgets, the serve queue's EDF keys, dedup waits, the portfolio
+    race timer, client timeouts) goes through this module instead;
+    wall-clock time remains the right source for log timestamps
+    ({!Log}) and request-id (ULID) timestamps.
 
     Backed by [clock_gettime(CLOCK_MONOTONIC)] via a tiny C stub, with
     a [gettimeofday] fallback compiled in for platforms without a

@@ -4,6 +4,7 @@
    oblivious to what it runs. *)
 
 module Obs = Soctest_obs.Obs
+module Clock = Soctest_obs.Clock
 
 type task = unit -> unit
 
@@ -18,8 +19,6 @@ type t = {
   mutable workers : unit Domain.t array;
   jobs : int;
 }
-
-let now_ms () = Unix.gettimeofday () *. 1000.
 
 let worker pool =
   let rec loop () =
@@ -71,11 +70,11 @@ let submit pool task =
     Mutex.unlock pool.lock;
     invalid_arg "Pool.submit: pool is shut down"
   end;
-  let enqueued = now_ms () in
+  let enqueued = Clock.now_ms () in
   Queue.push
     (fun () ->
       Obs.incr tasks_counter;
-      Obs.observe queue_wait_hist (Float.max 0. (now_ms () -. enqueued));
+      Obs.observe queue_wait_hist (Float.max 0. (Clock.now_ms () -. enqueued));
       (* fire-and-forget: the task owns its error handling; an escaped
          exception must not kill the worker domain *)
       try task () with _ -> ())
@@ -96,12 +95,12 @@ let run_all pool thunks =
     Mutex.unlock pool.lock;
     invalid_arg "Pool.run_all: pool is shut down"
   end;
-  let enqueued = now_ms () in
+  let enqueued = Clock.now_ms () in
   List.iteri
     (fun i thunk ->
       Queue.push
         (fun () ->
-          let start = now_ms () in
+          let start = Clock.now_ms () in
           Obs.incr tasks_counter;
           Obs.observe queue_wait_hist (Float.max 0. (start -. enqueued));
           let value =
@@ -112,7 +111,7 @@ let run_all pool thunks =
               let backtrace = Printexc.get_raw_backtrace () in
               Error { exn = e; backtrace }
           in
-          let elapsed_ms = Float.max 0. (now_ms () -. start) in
+          let elapsed_ms = Float.max 0. (Clock.now_ms () -. start) in
           Mutex.lock done_lock;
           results.(i) <- Some { value; elapsed_ms };
           decr remaining;

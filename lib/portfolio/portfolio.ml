@@ -1,4 +1,5 @@
 module Obs = Soctest_obs.Obs
+module Clock = Soctest_obs.Clock
 
 type status =
   | Done of { testing_time : int }
@@ -67,13 +68,13 @@ let run ?jobs ?deadline_ms ?(budget = Soctest_core.Budget.unlimited)
   (match deadline_ms with
   | Some d when d < 0. -> invalid_arg "Portfolio.run: deadline_ms < 0"
   | _ -> ());
-  let started = Unix.gettimeofday () in
+  let started = Clock.now_ms () in
   let past_deadline () =
     Soctest_core.Budget.exhausted budget
     ||
     match deadline_ms with
     | None -> false
-    | Some d -> (Unix.gettimeofday () -. started) *. 1000. >= d
+    | Some d -> Clock.now_ms () -. started >= d
   in
   let incumbent = Atomic.make max_int in
   let thunks =
@@ -105,7 +106,7 @@ let run ?jobs ?deadline_ms ?(budget = Soctest_core.Budget.unlimited)
     @@ fun () ->
     Pool.with_pool ~jobs (fun pool -> Pool.run_all pool thunks)
   in
-  let wall_ms = Float.max 0. ((Unix.gettimeofday () -. started) *. 1000.) in
+  let wall_ms = Float.max 0. (Clock.now_ms () -. started) in
   let entries =
     List.mapi
       (fun index ((s : Strategy.t), (o : task_result Pool.outcome)) ->

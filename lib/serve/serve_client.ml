@@ -1,4 +1,5 @@
 module Json = Soctest_obs.Json
+module Clock = Soctest_obs.Clock
 
 type response = {
   status : int;
@@ -303,12 +304,12 @@ let job_status t id = call t ("/v1/jobs/" ^ id)
 let cancel_job t id = call t ~meth:"DELETE" ("/v1/jobs/" ^ id)
 
 let await_job ?(poll_ms = 20.) ?(timeout_ms = 30_000.) t id =
-  let deadline = Unix.gettimeofday () +. (timeout_ms /. 1000.) in
+  let deadline = Clock.now_ms () +. timeout_ms in
   let rec poll () =
     let r = job_status t id in
     match job_state_of_body r.body with
     | Some ("queued" | "running") when r.status = 200 ->
-      if Unix.gettimeofday () > deadline then err Timeout;
+      if Clock.now_ms () > deadline then err Timeout;
       Unix.sleepf (poll_ms /. 1000.);
       poll ()
     | _ -> r  (* the replayed result, a cancelled doc, or a 404 *)

@@ -401,7 +401,8 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
   let constraints = phase ctx "prep" (fun () -> constraints_of_solve req) in
   (* a rectpack solve does not search the evaluation grid; it runs the
      packer directly and is dressed as an [Engine.outcome] so the audit,
-     flight-record and rendering paths below stay uniform *)
+     flight-record and rendering paths below stay uniform. Its schedule
+     has no cache entry, so its verdict is a direct audit. *)
   let rectpack_solve ~tam_width order =
     let t0 = Clock.now_ms () in
     let prepared = Engine.prepare t.engine_ ~wmax:req.wmax req.soc in
@@ -436,6 +437,12 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
           store_probe_ms = 0.;
           eval_solve_ms = elapsed;
         };
+      verdict =
+        (fun () ->
+          Audit.run req.soc
+            (Engine.audit_spec t.engine_ ~prepared ~wmax:req.wmax
+               ~expect_tam_width:tam_width constraints)
+            sched);
     }
   in
   let solve ~tam_width =
@@ -464,20 +471,15 @@ let handle_solve t ctx (req : Protocol.solve_request) ~budget =
     (match outcome.Engine.status with
     | Engine.Deadline -> Obs.incr deadline_c
     | Engine.Complete -> ());
-    (* no unaudited schedule leaves the service *)
-    let prepared, audit =
-      phase ctx "audit" (fun () ->
-          let prepared = Engine.prepare t.engine_ ~wmax:req.wmax req.soc in
-          ( prepared,
-            Audit.run req.soc
-              (Engine.audit_spec t.engine_ ~prepared ~wmax:req.wmax
-                 ~expect_tam_width:req.tam_width constraints)
-              outcome.Engine.result.Optimizer.schedule ))
-    in
+    (* no unaudited schedule leaves the service: a grid or point solve's
+       verdict is kept on its cache entry, so only the first answer from
+       an entry runs the audit *)
+    let audit = phase ctx "audit" outcome.Engine.verdict in
     let lower_bound =
       phase ctx "bound" (fun () ->
-          Lower_bound.compute_constrained prepared ~tam_width:req.tam_width
-            ~constraints)
+          Lower_bound.compute_constrained
+            (Engine.prepare t.engine_ ~wmax:req.wmax req.soc)
+            ~tam_width:req.tam_width ~constraints)
     in
     if Audit.ok audit then
       json_reply ~status:200

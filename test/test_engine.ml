@@ -196,6 +196,183 @@ let test_budget_ticks_per_request_not_per_compute () =
   let _ = Engine.solve engine (mk b2) in
   Alcotest.(check int) "warm solve ticks identically" 2 (Budget.evals b2)
 
+(* Deadlines are on the monotonic clock: polled until it runs out, the
+   remaining time never rises and never exceeds the deadline it started
+   from. (Stepping the wall clock would change the machine's clock, so
+   the test pins these two properties instead.) *)
+let test_budget_remaining_monotonic () =
+  let deadline_ms = 20. in
+  let b = Budget.create ~deadline_ms () in
+  let rec poll prev =
+    match Budget.remaining_ms b with
+    | None -> Alcotest.fail "a deadline budget reports its remaining time"
+    | Some r ->
+      if r > prev then Alcotest.failf "remaining_ms rose from %g to %g" prev r;
+      if r > deadline_ms then
+        Alcotest.failf "remaining_ms %g exceeds the %g ms deadline" r
+          deadline_ms;
+      if r > 0. then poll r
+  in
+  poll deadline_ms;
+  Alcotest.(check bool) "exhausted once nothing remains" true
+    (Budget.exhausted b);
+  Alcotest.(check bool) "no deadline, no remaining time" true
+    (Budget.remaining_ms (Budget.create ~max_evals:1 ()) = None)
+
+(* ---------------- the verdict kept on a cache entry ---------------- *)
+
+module Audit = Soctest_check.Audit
+
+let audits_counter = Obs.counter "check.audits"
+
+(* [f ()] with metrics recording on and the debug post-condition off
+   (it would add an audit per solve), and the audits it ran *)
+let counting_audits f =
+  let debug = Audit.enabled () in
+  Audit.set_enabled false;
+  Obs.enable ~events:false ();
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.disable ();
+      Audit.set_enabled debug)
+    (fun () ->
+      let v = f () in
+      (v, Obs.counter_value audits_counter))
+
+let grid_request soc ~tam_width constraints =
+  Engine.request soc ~tam_width ~constraints ~grid:Engine.default_grid ()
+
+(* A synthetic SOC solved under a power cap and a preemption budget, so
+   the verdict covers the power and si+so restart accounting too. *)
+let capped_synth () =
+  let soc =
+    Soctest_soc.Synth.generate
+      {
+        Soctest_soc.Synth.name = "verdict9";
+        seed = 77L;
+        core_count = 9;
+        target_data_bits = 80_000;
+        big_core_fraction = 0.25;
+        combinational_fraction = 0.1;
+        hierarchy_pairs = 2;
+        bist_engines = 2;
+      }
+  in
+  ( soc,
+    C.of_soc soc
+      ~power_limit:(2 * Soc_def.max_power soc)
+      ~max_preemptions:(Flow.preemption_budget soc ~limit:2)
+      () )
+
+(* A warm solve serves the report its entry keeps: equal to a fresh
+   [Audit.run] of the served schedule under the serving spec, and to
+   the reference auditor's. *)
+let test_verdict_matches_fresh_audit () =
+  let cases =
+    List.concat_map
+      (fun name ->
+        let soc = Option.get (Soctest_soc.Benchmarks.by_name name) in
+        List.map
+          (fun w -> (soc, C.of_soc soc (), w))
+          [ 8; 16; 32; 64 ])
+      [ "mini4"; "d695"; "p22810"; "p34392"; "p93791" ]
+    @
+    let soc, constraints = capped_synth () in
+    [ (soc, constraints, 12) ]
+  in
+  List.iter
+    (fun (soc, constraints, w) ->
+      let engine = Engine.create () in
+      let req = grid_request soc ~tam_width:w constraints in
+      ignore (Engine.solve engine req);
+      let warm = Engine.solve engine req in
+      let label = Printf.sprintf "%s W=%d" soc.Soc_def.name w in
+      Alcotest.(check int) (label ^ ": served from memory") 0
+        warm.Engine.stats.Engine.eval_computed;
+      let sched = warm.Engine.result.O.schedule in
+      let spec =
+        Engine.audit_spec engine
+          ~prepared:(Engine.prepare engine ~wmax:64 soc)
+          ~wmax:64 ~expect_tam_width:w constraints
+      in
+      let served = warm.Engine.verdict () in
+      Alcotest.(check bool) (label ^ ": clean") true (Audit.ok served);
+      Alcotest.(check bool) (label ^ ": equals a fresh Audit.run") true
+        (served = Audit.run soc spec sched);
+      Alcotest.(check bool) (label ^ ": equals the reference audit") true
+        (served = Test_helpers.reference_audit soc spec sched))
+    cases
+
+(* The kept report belongs to the entry the winner came from: after a
+   grid solve has kept its winner's report, a point solve at every grid
+   point serves the report of its own schedule. *)
+let test_verdict_kept_on_winning_entry () =
+  let soc = Test_helpers.d695 () in
+  let constraints = C.of_soc soc () in
+  let engine = Engine.create () in
+  let spec =
+    Engine.audit_spec engine
+      ~prepared:(Engine.prepare engine ~wmax:64 soc)
+      ~wmax:64 ~expect_tam_width:16 constraints
+  in
+  ignore
+    ((Engine.solve engine (grid_request soc ~tam_width:16 constraints))
+       .Engine.verdict ());
+  List.iter
+    (fun params ->
+      let o =
+        Engine.solve engine
+          (Engine.request soc ~tam_width:16 ~constraints
+             ~grid:(Engine.point_grid ~params ()) ())
+      in
+      Alcotest.(check bool) "the point's own report" true
+        (o.Engine.verdict ()
+        = Audit.run soc spec o.Engine.result.O.schedule))
+    (O.grid_points ~wmax:64 ())
+
+(* One key, one audit: k warm solves of a key share the first verdict,
+   and a solve alone audits nothing. A different W, power limit or
+   preemption limit is another key with its own audit. *)
+let test_verdict_audited_once_per_key () =
+  let soc = Test_helpers.d695 () in
+  let constraints ?power_limit ?(limit = 1) () =
+    C.of_soc soc ?power_limit
+      ~max_preemptions:(Flow.preemption_budget soc ~limit)
+      ()
+  in
+  let engine = Engine.create () in
+  let serve req =
+    let o = Engine.solve engine req in
+    o.Engine.verdict ()
+  in
+  let req = grid_request soc ~tam_width:16 (constraints ()) in
+  let first, audits = counting_audits (fun () -> serve req) in
+  Alcotest.(check int) "the first answer audits" 1 audits;
+  let again, audits =
+    counting_audits (fun () -> List.init 5 (fun _ -> serve req))
+  in
+  Alcotest.(check int) "five more answers audit nothing" 0 audits;
+  List.iter
+    (fun r -> Alcotest.(check bool) "the kept report" true (r = first))
+    again;
+  let _, audits =
+    counting_audits (fun () -> ignore (Engine.solve engine req))
+  in
+  Alcotest.(check int) "a solve alone audits nothing" 0 audits;
+  List.iter
+    (fun (label, req) ->
+      let _, audits =
+        counting_audits (fun () -> ignore (serve req); ignore (serve req))
+      in
+      Alcotest.(check int) (label ^ ": its own audit, once") 1 audits)
+    [
+      ("W", grid_request soc ~tam_width:24 (constraints ()));
+      ( "power limit",
+        grid_request soc ~tam_width:16
+          (constraints ~power_limit:(2 * Soc_def.max_power soc) ()) );
+      ("preemption limit", grid_request soc ~tam_width:16 (constraints ~limit:2 ()));
+    ]
+
 (* ---------------- the acceptance sweep ---------------- *)
 
 let test_solve_many_sweep_cached_vs_uncached () =
@@ -284,12 +461,23 @@ let () =
         ] );
       ( "budget",
         [
+          Alcotest.test_case "remaining_ms is monotonic" `Quick
+            test_budget_remaining_monotonic;
           Alcotest.test_case "expired budget -> incumbent" `Quick
             test_expired_budget_returns_incumbent;
           Alcotest.test_case "max_evals stops early" `Quick
             test_max_evals_budget_stops_early;
           Alcotest.test_case "ticks per request" `Quick
             test_budget_ticks_per_request_not_per_compute;
+        ] );
+      ( "verdict",
+        [
+          Alcotest.test_case "equals a fresh audit" `Quick
+            test_verdict_matches_fresh_audit;
+          Alcotest.test_case "audited once per key" `Quick
+            test_verdict_audited_once_per_key;
+          Alcotest.test_case "kept on the winning entry" `Quick
+            test_verdict_kept_on_winning_entry;
         ] );
       ( "sweep",
         [

@@ -229,6 +229,51 @@ let test_live_solve_parity () =
     "metrics expose the hit" true
     (counter port "engine_cache_eval_hits" - hits0 >= 1)
 
+(* Identical grid solves share one audit: the first answer audits its
+   cache entry and every later one serves the kept report, so the bodies
+   differ only in the cache counters and the timings. *)
+let test_live_grid_solves_audit_once () =
+  with_server @@ fun _server port ->
+  let body =
+    solve_body ~extra:[ ("strategy", Json.String "grid") ] 8
+  in
+  let audits0 = counter port "check_audits" in
+  let answers =
+    List.init 5 (fun _ ->
+        let r = Client.post ~port ~body "/v1/solve" in
+        Alcotest.(check int) "status" 200 r.Client.status;
+        Client.json_body r)
+  in
+  Alcotest.(check int) "five grid solves, one audit" 1
+    (counter port "check_audits" - audits0);
+  let untimed v =
+    match v with
+    | Json.Obj fields ->
+      Json.Obj
+        (List.map
+           (fun (k, x) ->
+             match (k, x) with
+             | "result", Json.Obj rs ->
+               ( k,
+                 Json.Obj
+                   (List.filter
+                      (fun (k, _) ->
+                        not
+                          (List.mem k
+                             [ "cache"; "solve_ms"; "store_probe_ms";
+                               "eval_solve_ms" ]))
+                      rs) )
+             | _ -> (k, x))
+           fields)
+    | _ -> Alcotest.fail "solve response is not an object"
+  in
+  let first = Json.to_string (untimed (List.hd answers)) in
+  List.iter
+    (fun v ->
+      Alcotest.(check string) "same answer" first
+        (Json.to_string (untimed v)))
+    (List.tl answers)
+
 let test_live_check_endpoint () =
   with_server @@ fun _server port ->
   let solved =
@@ -772,6 +817,8 @@ let () =
         [
           Alcotest.test_case "solve parity + cache visibility" `Quick
             test_live_solve_parity;
+          Alcotest.test_case "grid solves audit once" `Quick
+            test_live_grid_solves_audit_once;
           Alcotest.test_case "check endpoint" `Quick test_live_check_endpoint;
           Alcotest.test_case "admission control" `Quick
             test_live_admission_control;

@@ -328,6 +328,28 @@ let test_env_var_opens_store () =
         Store.close s
       | None -> Alcotest.fail "store vanished")
 
+(* One evaluation's store key, byte for byte: stores written before the
+   memory key became structured must still be found, and their keys
+   still lead with the SOC digest, "pw=" and "W=" for tools that index
+   them. *)
+let test_store_key_bytes_pinned () =
+  with_store_file @@ fun path ->
+  let soc = Test_helpers.mini4 () in
+  let store = Store.open_ path in
+  ignore
+    (Engine.solve (Engine.create ~store ())
+       (Engine.request soc ~tam_width:8 ~constraints:(un soc) ()));
+  let keys = ref [] in
+  Store.iter store (fun ~key ~payload:_ -> keys := key :: !keys);
+  Store.close store;
+  Alcotest.(check (list string))
+    "mini4 W=8, default params"
+    [
+      "8600fc4700cb29238937cadf21b8fe69|pw=64|W=8|wmax=64,p=5,d=1,s=3,w=true\
+       |c=2fa0965c293ec5edc0f2d69849c98645|o=";
+    ]
+    !keys
+
 (* ---------------- the per-solve audit verdict memo ---------------- *)
 
 (* Four grid points of mini4 at W=8 that all yield one schedule; the
@@ -392,6 +414,32 @@ let test_memo_audits_shared_schedule_once () =
   Alcotest.(check string) "same answer"
     (IO.to_string solved.Engine.result.O.schedule)
     (IO.to_string o.Engine.result.O.schedule)
+
+(* A winner loaded from the store keeps the report its load audit
+   produced: serving it runs no further audit, and the report is the
+   one a fresh audit of the served schedule gives. *)
+let test_store_winner_keeps_load_audit () =
+  with_store_file @@ fun path ->
+  let soc, _, _ = seed_shared_store path in
+  let store = Store.open_ path in
+  let engine = Engine.create ~store () in
+  Obs.enable ~events:false ();
+  let o = Engine.solve engine (shared_req soc) in
+  let loaded = Obs.counter_value audits_counter in
+  let served = o.Engine.verdict () in
+  let after = Obs.counter_value audits_counter in
+  Obs.disable ();
+  Store.close store;
+  Alcotest.(check int) "one audit on load" 1 loaded;
+  Alcotest.(check int) "serving the winner audits nothing" loaded after;
+  let spec =
+    Engine.audit_spec engine
+      ~prepared:(Engine.prepare engine ~wmax:64 soc)
+      ~wmax:64 ~expect_tam_width:8 (un soc)
+  in
+  Alcotest.(check bool) "the load audit's report" true
+    (served
+    = Soctest_check.Audit.run soc spec o.Engine.result.O.schedule)
 
 (* A memoized clean verdict vouches for the schedule only: an entry
    whose testing time or widths disagree with that schedule is still
@@ -468,6 +516,8 @@ let () =
             test_payload_codec_roundtrip;
           Alcotest.test_case "SOCTEST_STORE env" `Quick
             test_env_var_opens_store;
+          Alcotest.test_case "store key bytes pinned" `Quick
+            test_store_key_bytes_pinned;
         ] );
       ( "verdict memo",
         [
@@ -475,5 +525,7 @@ let () =
             test_memo_audits_shared_schedule_once;
           Alcotest.test_case "per-entry checks kept" `Quick
             test_memo_keeps_per_entry_checks;
+          Alcotest.test_case "a loaded winner keeps its audit" `Quick
+            test_store_winner_keeps_load_audit;
         ] );
     ]
